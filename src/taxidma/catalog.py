@@ -17,14 +17,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from typing import Callable, Iterator
 
-from .codes import TaxonomyCode, format_code, parse_code
+from .codes import TaxonomyCode, format_code, is_leaf_number, parse_code
 from .errors import (
     DanglingProfileReferenceError,
     DuplicateCodeError,
+    InvalidCodeError,
     MalformedDocumentError,
     UnknownPathError,
 )
@@ -114,6 +116,14 @@ class CatalogViolation:
         return f"{self.rule}: {self.path}: {self.message}"
 
 
+def _checked_text(code: TaxonomyCode) -> str | None:
+    """The canonical text of ``code``, or None if the grammar rejects it."""
+    try:
+        return format_code(code)
+    except InvalidCodeError:
+        return None
+
+
 class Catalog:
     """An immutable, indexed catalog."""
 
@@ -127,6 +137,9 @@ class Catalog:
         self._profile_by_code = {p.code: p for p in profiles}
         self._effective: dict[tuple[str | None, str, str], tuple[Item, ...]] = {}
         self._build_effective()
+        # Canonical code text -> (taxonomy, category, item, leaf_chain).
+        self._index: dict[str, tuple] = {}
+        self._build_index()
 
     def _build_effective(self) -> None:
         for taxonomy in self.taxonomies:
@@ -163,6 +176,12 @@ class Catalog:
                         category: str) -> tuple[Item, ...]:
         return self._effective.get((profile, taxonomy, category), ())
 
+    @cached_property
+    def vocabulary(self):
+        """The STIX vocabulary token tables of this catalog, built as used."""
+        from .stix import VocabularyTables  # stix imports this module
+        return VocabularyTables(self)
+
     def profile_pairs(self) -> list[tuple[str, str]]:
         """(profile, taxonomy) pairs where the profile changes the taxonomy."""
         pairs = []
@@ -175,6 +194,52 @@ class Catalog:
 
     # -- resolution --------------------------------------------------------
 
+    def _build_index(self) -> None:
+        """Map the canonical text of every resolvable code to its node chain.
+
+        Covers every taxonomy plain and under every profile.  Where a
+        directly built catalog repeats a code among siblings, the first
+        declaration wins, as the code names it; nodes whose tokens break
+        the grammar are left out, since no valid code can name them.
+        """
+        index = self._index
+        for profile in (None, *self._profile_by_code):
+            for tax_code, taxonomy in self._tax_by_code.items():
+                if tax_code in self._profile_by_code:
+                    continue  # a profile token never resolves as a taxonomy
+                tax_text = _checked_text(TaxonomyCode(tax_code, profile=profile))
+                if tax_text is None:
+                    continue
+                index[tax_text] = (taxonomy, None, None, ())
+                for category in taxonomy.categories:
+                    cat_text = _checked_text(TaxonomyCode(
+                        tax_code, category.code, profile=profile))
+                    if cat_text is None or cat_text in index:
+                        continue
+                    index[cat_text] = (taxonomy, category, None, ())
+                    for item in self.effective_items(profile, tax_code,
+                                                     category.code):
+                        item_text = _checked_text(TaxonomyCode(
+                            tax_code, category.code, item.code,
+                            profile=profile))
+                        if item_text is None or item_text in index:
+                            continue
+                        index[item_text] = (taxonomy, category, item, ())
+                        self._index_leaves(item_text, (taxonomy, category, item),
+                                           (), item.leaves)
+
+    def _index_leaves(self, parent_text: str, nodes: tuple,
+                      chain: tuple[Leaf, ...], leaves: tuple[Leaf, ...]) -> None:
+        for leaf in leaves:
+            if not is_leaf_number(leaf.number):
+                continue
+            text = f"{parent_text}.{leaf.number:d}"
+            if text in self._index:
+                continue
+            deeper = chain + (leaf,)
+            self._index[text] = (*nodes, deeper)
+            self._index_leaves(text, nodes, deeper, leaf.children)
+
     def _as_code(self, code: TaxonomyCode | str) -> TaxonomyCode:
         if isinstance(code, str):
             return parse_code(code)
@@ -185,55 +250,40 @@ class Catalog:
 
         Returns ``(taxonomy, category, item, leaf_chain)`` where the later
         elements are None/empty for shallow codes.  Raises
+        :class:`InvalidCodeError` for a structurally broken code and
         :class:`UnknownPathError` carrying the longest prefix that resolved.
         """
         parsed = self._as_code(code)
         text = format_code(parsed)
+        entry = self._index.get(text)
+        if entry is None:
+            raise self._miss(parsed, text)
+        return entry
 
-        if parsed.profile is not None and self.profile(parsed.profile) is None:
-            raise UnknownPathError(text, "", f"unknown profile {parsed.profile!r}")
-        if parsed.taxonomy in self._profile_by_code:
-            raise UnknownPathError(
-                text, "",
-                f"{parsed.taxonomy!r} is a profile token; qualify a taxonomy "
-                f"as {parsed.taxonomy}:<TAX>")
-        taxonomy = self.taxonomy(parsed.taxonomy)
-        if taxonomy is None:
-            detail = ("reserved token" if parsed.taxonomy == "WA"
-                      else "unknown taxonomy")
-            raise UnknownPathError(text, "", detail)
-
-        prefix = TaxonomyCode(parsed.taxonomy, profile=parsed.profile)
-        if parsed.category is None:
-            return taxonomy, None, None, ()
-        category = next((c for c in taxonomy.categories
-                         if c.code == parsed.category), None)
-        if category is None:
-            raise UnknownPathError(text, format_code(prefix),
-                                   f"no category {parsed.category!r}")
-        prefix = TaxonomyCode(parsed.taxonomy, parsed.category,
-                              profile=parsed.profile)
-        if parsed.item is None:
-            return taxonomy, category, None, ()
-        items = self.effective_items(parsed.profile, parsed.taxonomy,
-                                     parsed.category)
-        item = next((i for i in items if i.code == parsed.item), None)
-        if item is None:
-            raise UnknownPathError(text, format_code(prefix),
-                                   f"no item {parsed.item!r}")
-        prefix = TaxonomyCode(parsed.taxonomy, parsed.category, parsed.item,
-                              profile=parsed.profile)
-        chain: list[Leaf] = []
-        siblings = item.leaves
-        for number in parsed.leaf_path:
-            leaf = next((l for l in siblings if l.number == number), None)
-            if leaf is None:
-                raise UnknownPathError(text, format_code(prefix),
-                                       f"no leaf numbered {number}")
-            chain.append(leaf)
-            prefix = prefix.with_leaf(number)
-            siblings = leaf.children
-        return taxonomy, category, item, tuple(chain)
+    def _miss(self, code: TaxonomyCode, text: str) -> UnknownPathError:
+        """Explain why a well-formed code is not in the index."""
+        missing, prefix = code, code.parent()
+        while prefix is not None:
+            prefix_text = format_code(prefix)
+            if prefix_text in self._index:
+                if missing.item is None:
+                    detail = f"no category {missing.category!r}"
+                elif not missing.leaf_path:
+                    detail = f"no item {missing.item!r}"
+                else:
+                    detail = f"no leaf numbered {missing.leaf_path[-1]}"
+                return UnknownPathError(text, prefix_text, detail)
+            missing, prefix = prefix, prefix.parent()
+        if code.profile is not None and self.profile(code.profile) is None:
+            detail = f"unknown profile {code.profile!r}"
+        elif code.taxonomy in self._profile_by_code:
+            detail = (f"{code.taxonomy!r} is a profile token; qualify a "
+                      f"taxonomy as {code.taxonomy}:<TAX>")
+        elif code.taxonomy == "WA":
+            detail = "reserved token"
+        else:
+            detail = "unknown taxonomy"
+        return UnknownPathError(text, "", detail)
 
     def lookup(self, code: TaxonomyCode | str) -> CatalogNode:
         """Resolve a code and describe the node it names."""

@@ -38,6 +38,11 @@ _NUM_RE = re.compile(r"0|[1-9][0-9]*")
 # Upper-cased spellings of registered tokens mapped back to canonical form.
 _FOLDED_TOKENS = {p.upper(): p for p in REGISTERED_PROFILES}
 
+# Key in a TaxonomyCode's instance dict under which format_code caches the
+# canonical text once the grammar check has passed.
+_TEXT = "_text"
+_NO_TEXT: dict[str, str] = {}  # stands in for objects without a __dict__
+
 
 @dataclass(frozen=True)
 class TaxonomyCode:
@@ -148,7 +153,11 @@ def parse_code(text: str, lenient: bool = False) -> TaxonomyCode:
         number, pos = _scan_number(text, work, pos)
         leaves.append(number)
 
-    return TaxonomyCode(taxonomy, category, item, tuple(leaves), profile)
+    code = TaxonomyCode(taxonomy, category, item, tuple(leaves), profile)
+    if not lenient and type(text) is str:
+        # Strictly parsed text is already canonical: seed format_code's cache.
+        code.__dict__[_TEXT] = text
+    return code
 
 
 def _expect_dot(text: str, work: str, pos: int) -> int:
@@ -202,8 +211,13 @@ def format_code(code: TaxonomyCode) -> str:
     """Render a :class:`TaxonomyCode` back to its canonical string.
 
     Raises :class:`InvalidCodeError` if the structured value violates the
-    grammar (bad charset, broken nesting, negative leaf numbers).
+    grammar (bad charset, broken nesting, negative leaf numbers).  The check
+    runs once per code: the text is cached on the instance when its
+    ``leaf_path`` is a tuple (a list could still change).
     """
+    cached = getattr(code, "__dict__", _NO_TEXT).get(_TEXT)
+    if cached is not None:
+        return cached
     if code.profile is not None and code.profile not in REGISTERED_PROFILES:
         raise InvalidCodeError(f"unknown profile {code.profile!r}")
     tax = code.taxonomy
@@ -224,7 +238,7 @@ def format_code(code: TaxonomyCode) -> str:
         if _ITEM_RE.fullmatch(code.item) is None:
             raise InvalidCodeError(f"bad item code {code.item!r}")
     for number in code.leaf_path:
-        if not isinstance(number, int) or isinstance(number, bool) or number < 0:
+        if not is_leaf_number(number):
             raise InvalidCodeError(f"bad leaf number {number!r}")
 
     parts = [tax]
@@ -234,7 +248,15 @@ def format_code(code: TaxonomyCode) -> str:
         parts.append(code.item)
     parts.extend(str(n) for n in code.leaf_path)
     body = ".".join(parts)
-    return f"{code.profile}:{body}" if code.profile else body
+    text = f"{code.profile}:{body}" if code.profile else body
+    if isinstance(code, TaxonomyCode) and type(code.leaf_path) is tuple:
+        code.__dict__[_TEXT] = text
+    return text
+
+
+def is_leaf_number(value: object) -> bool:
+    """True for the values the grammar allows as one leaf segment."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def canonicalize(text: str, lenient: bool = False) -> str:

@@ -25,9 +25,11 @@ from pathlib import Path
 from .catalog import Catalog
 from .codes import TaxonomyCode, format_code, parse_code
 from .errors import (
+    CodeSyntaxError,
     MalformedFileError,
     RecordNotFoundError,
     StorageFailureError,
+    UnknownPathError,
 )
 from .record import (
     RECORD_FILE_SUFFIX,
@@ -164,7 +166,7 @@ def _record_codes(record: AttackRecord, group_by: str,
 def _full_name(catalog: Catalog, code_text: str) -> str:
     try:
         return catalog.full_name(parse_code(code_text))
-    except Exception:
+    except (CodeSyntaxError, UnknownPathError):
         return ""
 
 

@@ -92,10 +92,6 @@ class InvalidRecordError(TaxidmaError):
         self.report = report
 
 
-class UnmappedSelectionError(TaxidmaError):
-    """A selection has no STIX mapping row (raised only by strict helpers)."""
-
-
 class MalformedBundleError(TaxidmaError):
     """A STIX bundle document is structurally unusable."""
 

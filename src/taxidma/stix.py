@@ -214,8 +214,10 @@ def _hyphenate(name: str) -> str:
     return name.lower().replace(" ", "-")
 
 
-class _VocabularyTables:
-    """Per-location token tables with parent-prefix disambiguation."""
+class VocabularyTables:
+    """Per-location token tables with parent-prefix disambiguation.
+
+    One instance lives on each catalog, as :attr:`Catalog.vocabulary`."""
 
     def __init__(self, catalog: Catalog):
         self.catalog = catalog
@@ -283,15 +285,6 @@ class _VocabularyTables:
         return self._cache[key][1].get(token)
 
 
-_TABLES: dict[str, _VocabularyTables] = {}
-
-
-def _tables(catalog: Catalog) -> _VocabularyTables:
-    if catalog.checksum not in _TABLES:
-        _TABLES[catalog.checksum] = _VocabularyTables(catalog)
-    return _TABLES[catalog.checksum]
-
-
 # -- mapping rows -------------------------------------------------------------
 
 
@@ -356,6 +349,15 @@ class _Scope:
     # (scope tag, taxonomy key, canonical code, free_text)
     mapped: list[tuple[str, str, str, str | None]] = field(
         default_factory=list)
+    # The first mapped attack-category (K.G) code: the indicator's pattern.
+    indicator_code: str | None = None
+
+    def map(self, code: TaxonomyCode, free_text: str | None) -> None:
+        text = format_code(code)
+        self.mapped.append((self.tag, self.tax_key, text, free_text))
+        if self.indicator_code is None and (code.category, code.item) == (
+                "K", "G"):
+            self.indicator_code = text
 
     def add(self, slot: str, token: str) -> None:
         self.values.setdefault(slot, []).append(token)
@@ -364,8 +366,7 @@ class _Scope:
         return self.values.get(slot, [])
 
 
-def _collect_scope(catalog: Catalog, tables: _VocabularyTables,
-                   scope_index: int | None,
+def _collect_scope(catalog: Catalog, scope_index: int | None,
                    application: TaxonomyApplication) -> _Scope:
     tax_key = application.taxonomy.taxonomy_key
     is_background = scope_index is None
@@ -384,17 +385,15 @@ def _collect_scope(catalog: Catalog, tables: _VocabularyTables,
         if item.kind in ("free_text", "external_reference"):
             if is_background and code.category == "K":
                 scope.vulnerabilities.append(selection)
-                scope.mapped.append((scope.tag, tax_key, format_code(code),
-                                     selection.free_text))
+                scope.map(code, selection.free_text)
             continue
         row = _match_row(rows, code)
         if row is None:
             continue
-        token = tables.token_for(tax_key, code.category, code.item,
-                                 row.prefix, format_code(code))
+        token = catalog.vocabulary.token_for(tax_key, code.category, code.item,
+                                             row.prefix, format_code(code))
         scope.add(row.slot, token)
-        scope.mapped.append((scope.tag, tax_key, format_code(code),
-                             selection.free_text))
+        scope.map(code, selection.free_text)
     return scope
 
 
@@ -405,11 +404,10 @@ def mapped_selections(record: AttackRecord, catalog: Catalog
     round-trip contract is over this list grouped by scope tag: the same
     scopes (up to application renumbering) holding the same multisets of
     (taxonomy key, code, free_text)."""
-    tables = _tables(catalog)
     out: list[tuple[str, str, str, str | None]] = []
-    out.extend(_collect_scope(catalog, tables, None, record.background).mapped)
+    out.extend(_collect_scope(catalog, None, record.background).mapped)
     for index, application in enumerate(record.applications):
-        out.extend(_collect_scope(catalog, tables, index, application).mapped)
+        out.extend(_collect_scope(catalog, index, application).mapped)
     return out
 
 
@@ -482,7 +480,6 @@ def to_stix(record: AttackRecord, catalog: Catalog,
             f"record {record.record_id} cannot be serialized with "
             f"{len(report.errors)} validation error(s)", report)
 
-    tables = _tables(catalog)
     mint = _IdMint(record.record_id, options.deterministic_ids)
     stamp = _stamp(record.created)
     objects: list[dict] = [extension_definition()]
@@ -492,10 +489,10 @@ def to_stix(record: AttackRecord, catalog: Catalog,
     incident["description"] = record.description
     objects.append(incident)
 
-    background = _collect_scope(catalog, tables, None, record.background)
+    background = _collect_scope(catalog, None, record.background)
     scopes = [background]
     for index, application in enumerate(record.applications):
-        scopes.append(_collect_scope(catalog, tables, index, application))
+        scopes.append(_collect_scope(catalog, index, application))
 
     relationships: list[tuple[str, str, str]] = []
 
@@ -643,11 +640,7 @@ def to_stix(record: AttackRecord, catalog: Catalog,
             indicator_id = mint("indicator", scope.tag)
             indicator = _base_object("indicator", indicator_id, stamp,
                                      scope.label)
-            first_code = next(
-                code for _, _, code, _ in scope.mapped
-                if parse_code(code).category == "K"
-                and parse_code(code).item == "G")
-            indicator["pattern"] = first_code
+            indicator["pattern"] = scope.indicator_code
             indicator["pattern_type"] = PATTERN_TYPE
             indicator["valid_from"] = stamp
             _attach(indicator, _extension_payload(
@@ -775,7 +768,6 @@ class _Inverter:
 
     def __init__(self, catalog: Catalog):
         self.catalog = catalog
-        self.tables = _tables(catalog)
         self.background: list[Selection] = []
         self.background_tax: str | None = None
         self.apps: dict[int, dict] = {}
@@ -810,8 +802,8 @@ class _Inverter:
             code_text = None
             if isinstance(token, str):
                 try:
-                    code_text = self.tables.code_for(tax_key, category, item,
-                                                     prefix, token)
+                    code_text = self.catalog.vocabulary.code_for(
+                        tax_key, category, item, prefix, token)
                 except Exception:
                     code_text = None
             if code_text is None:

@@ -8,14 +8,20 @@ import pytest
 
 from taxidma.catalog import (
     CONTENT_RULES,
+    Catalog,
+    Category,
+    Item,
+    Leaf,
+    Taxonomy,
     load_bundled_catalog,
     load_catalog,
     verify_catalog,
 )
-from taxidma.codes import canonicalize, format_code, parse_code
+from taxidma.codes import TaxonomyCode, canonicalize, format_code, parse_code
 from taxidma.errors import (
     DanglingProfileReferenceError,
     DuplicateCodeError,
+    InvalidCodeError,
     MalformedDocumentError,
     UnknownPathError,
 )
@@ -151,6 +157,15 @@ def test_unknown_path_reports_longest_prefix(catalog):
     with pytest.raises(UnknownPathError) as exc:
         catalog.lookup("IoT:SI.T.H.9.1")
     assert exc.value.resolved_prefix == "IoT:SI.T.H"
+    with pytest.raises(UnknownPathError) as exc:
+        catalog.lookup("IoT:SI.Z.T.1")
+    assert exc.value.resolved_prefix == "IoT:SI"
+    assert "no category 'Z'" in str(exc.value)
+    without_profiles = load_catalog(make_doc())
+    with pytest.raises(UnknownPathError) as exc:
+        without_profiles.lookup("IoT:BG.A.T.1")
+    assert exc.value.resolved_prefix == ""
+    assert "unknown profile 'IoT'" in str(exc.value)
 
 
 def test_reserved_and_profile_tokens_do_not_resolve(catalog):
@@ -161,6 +176,60 @@ def test_reserved_and_profile_tokens_do_not_resolve(catalog):
         catalog.lookup("IoT")
     with pytest.raises(UnknownPathError):
         catalog.lookup("SSI.T.L")
+
+
+def test_bool_and_negative_leaf_numbers_are_invalid(catalog):
+    for leaf_path in ((True,), (-1,)):
+        code = TaxonomyCode("BG", "I", "A", leaf_path)
+        with pytest.raises(InvalidCodeError):
+            catalog.resolve(code)
+        with pytest.raises(InvalidCodeError):
+            catalog.lookup(code)
+
+
+def test_list_leaf_path_resolves_like_a_tuple(catalog):
+    listed = TaxonomyCode("BG", "I", "A", [1])
+    assert catalog.resolve(listed) == catalog.resolve("BG.I.A.1")
+    assert catalog.lookup(listed).name == "Impostor"
+    with pytest.raises(UnknownPathError) as exc:
+        catalog.resolve(TaxonomyCode("BG", "I", "A", [9]))
+    assert exc.value.resolved_prefix == "BG.I.A"
+
+
+def test_codes_resolve_alike_as_text_and_as_fresh_code(catalog):
+    for code in catalog.enumerate_codes():
+        text = format_code(code)
+        fresh = TaxonomyCode(code.taxonomy, code.category, code.item,
+                             tuple(code.leaf_path), code.profile)
+        by_text = catalog.resolve(text)
+        by_code = catalog.resolve(fresh)
+        assert len(by_text) == len(by_code) == 4
+        assert all(a is b for a, b in zip(by_text[:3], by_code[:3])), text
+        assert [id(leaf) for leaf in by_text[3]] == \
+            [id(leaf) for leaf in by_code[3]], text
+
+
+def test_first_of_repeated_siblings_wins_in_a_directly_built_catalog():
+    # The loader rejects repeats; a hand-built catalog resolves the first.
+    first = Item("T", "First", leaves=(
+        Leaf(1, "One"), Leaf(1, "Again", (Leaf(1, "Deep"),))))
+    second = Item("T", "Second", leaves=(Leaf(1, "Uno"), Leaf(2, "Two")))
+    tree = Taxonomy("BG", "Background",
+                    (Category("A", "Attacker", (first, second)),
+                     Category("A", "Repeat", (first, second))))
+    built = Catalog("x", (tree,), (), "0")
+    assert built.lookup("BG.A").name == "Attacker"
+    assert built.lookup("BG.A.T").name == "First"
+    assert built.lookup("BG.A.T.1").name == "One"
+    for text, prefix in (("BG.A.T.2", "BG.A.T"), ("BG.A.T.1.1", "BG.A.T.1")):
+        with pytest.raises(UnknownPathError) as exc:
+            built.resolve(text)
+        assert exc.value.resolved_prefix == prefix
+
+
+def test_lenient_parse_renders_canonical_text():
+    assert format_code(parse_code("iot:si.k.g.2", lenient=True)) == \
+        "IoT:SI.K.G.2"
 
 
 def test_full_name_examples(catalog):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -195,3 +196,24 @@ def test_prefix_formatting_is_string_prefix():
             assert text.startswith(rendered)
             assert len(rendered) == len(text) or text[len(rendered)] == "."
             node = node.parent()
+
+
+def test_strict_parse_text_is_what_a_fresh_code_renders():
+    # Strict parsing hands its input to format_code as the rendered text;
+    # a copy built from the parsed fields must render the same text.
+    rng = random.Random(0x5EED)
+    for _ in range(1000):
+        text = grammar_oracle.random_mutant(rng)
+        try:
+            code = parse_code(text)
+        except CodeSyntaxError:
+            continue
+        assert format_code(replace(code)) == text
+
+
+def test_list_leaf_path_is_checked_on_every_render():
+    code = TaxonomyCode("BG", "I", "A", [1])
+    assert format_code(code) == "BG.I.A.1"
+    code.leaf_path.append(-1)
+    with pytest.raises(InvalidCodeError):
+        format_code(code)

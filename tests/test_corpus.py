@@ -27,7 +27,7 @@ from taxidma.errors import (
     RecordNotFoundError,
     StorageFailureError,
 )
-from taxidma.record import new_record, write_record
+from taxidma.record import BACKGROUND, add_selection, new_record, write_record
 
 
 @pytest.fixture
@@ -258,3 +258,22 @@ def test_merge_profiles_folds_qualified_codes(tmp_path, bundled_catalog):
     assert all(":" not in entry.code for entry in merged.entries)
     plain = compute_stats(corpus, bundled_catalog)
     assert any(":" in entry.code for entry in plain.entries)
+
+
+def test_unresolvable_codes_get_blank_names(bundled_catalog):
+    record = new_record("r1", "t", "d")
+    add_selection(record, BACKGROUND, "BG.Z.Q.1")
+    report = compute_stats([record], bundled_catalog, group_by="leaf")
+    assert [(e.code, e.name) for e in report.entries] == \
+        [("BG.Z.Q.1", "")]
+
+
+def test_programming_errors_in_naming_propagate():
+    class BrokenCatalog:
+        def full_name(self, code):
+            raise TypeError("broken catalog")
+
+    record = new_record("r1", "t", "d")
+    add_selection(record, BACKGROUND, "BG.I.A.1")
+    with pytest.raises(TypeError):
+        compute_stats([record], BrokenCatalog())

@@ -9,7 +9,11 @@ import pytest
 
 from conftest import FIXTURE_IDS, load_fixture_record, scope_groups
 from record_gen import record_batch
-from taxidma.catalog import load_bundled_catalog
+from taxidma.catalog import (
+    BUNDLED_CATALOG_RESOURCE,
+    load_bundled_catalog,
+    load_catalog,
+)
 from taxidma.errors import (
     InvalidRecordError,
     MalformedBundleError,
@@ -158,6 +162,17 @@ def test_indicator_carries_category_tokens_and_a_code_pattern():
     assert indicator["pattern_type"] == "taxidma-code"
     assert indicator["valid_from"] == indicator["created"]
     assert taxidma_ext(indicator)["attack_category"] == ["authentication"]
+
+
+def test_indicator_pattern_is_the_first_category_selection(bundled_catalog):
+    record = new_record("two-categories", "Two categories", "d")
+    add_selection(record, BACKGROUND, "BG.A.T.2.5")
+    app = apply_taxonomy(record, bundled_catalog, "SI", "portal")
+    for code in ("SI.K.T.1", "SI.K.G.3", "SI.K.G.2"):
+        add_selection(record, app, code)
+    bundle = to_stix(record, bundled_catalog, DETERMINISTIC)
+    indicator = only(bundle, "indicator", application_index=app)
+    assert indicator["pattern"] == "SI.K.G.3"
 
 
 def test_lifecycle_selections_become_kill_chain_phases(bundled_catalog):
@@ -313,6 +328,21 @@ def test_deterministic_mode_is_byte_identical():
     _, first = fixture_bundle("canva-2019")
     _, second = fixture_bundle("canva-2019")
     assert serialize_bundle(first) == serialize_bundle(second)
+
+
+def test_vocabulary_tables_belong_to_their_catalog():
+    import taxidma
+    from pathlib import Path
+    data = (Path(taxidma.__file__).parent / "data" /
+            BUNDLED_CATALOG_RESOURCE).read_bytes()
+    first, second = load_catalog(data), load_catalog(data)
+    assert first.checksum == second.checksum
+    assert first.vocabulary is first.vocabulary
+    assert first.vocabulary is not second.vocabulary
+    assert first.vocabulary.catalog is first
+    record = load_fixture_record("canva-2019")
+    assert serialize_bundle(to_stix(record, first, DETERMINISTIC)) == \
+        serialize_bundle(to_stix(record, second, DETERMINISTIC))
 
 
 def test_default_mode_mints_fresh_identifiers(bundled_catalog):
