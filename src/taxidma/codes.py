@@ -14,6 +14,10 @@ Examples: ``BG``, ``BG.I.A.1``, ``IoT:SI.K.G.2``, ``UE.K.T.1.4.4``.
 Parsing is strict about case: ``bg.i.a.1`` and the case-variant ``IOT`` are
 rejected unless ``lenient=True``, which upper-cases the input first and then
 maps registered tokens back to their canonical spelling.
+
+A strict parse is one match of the whole grammar as a single pattern.  Text
+that pattern rejects, and every lenient parse, goes through a token scanner
+that reports the offset of the first offending character.
 """
 from __future__ import annotations
 
@@ -37,6 +41,16 @@ _NUM_RE = re.compile(r"0|[1-9][0-9]*")
 
 # Upper-cased spellings of registered tokens mapped back to canonical form.
 _FOLDED_TOKENS = {p.upper(): p for p in REGISTERED_PROFILES}
+# Taxonomy tokens the strict pattern matches but strict parsing rejects.
+_CASE_VARIANTS = frozenset(_FOLDED_TOKENS) - frozenset(REGISTERED_PROFILES)
+
+# The whole strict grammar; groups: profile, taxonomy, category, item, and
+# the leaf segments with their leading dots.
+_PROFILE_ALT = "|".join(REGISTERED_PROFILES)
+_STRICT_RE = re.compile(
+    rf"(?:({_PROFILE_ALT}):)?({_PROFILE_ALT}|{_TAX_RE.pattern})"
+    rf"(?:\.({_CAT_RE.pattern})(?:\.({_ITEM_RE.pattern})"
+    rf"((?:\.(?:{_NUM_RE.pattern}))*))?)?")
 
 # Key in a TaxonomyCode's instance dict under which format_code caches the
 # canonical text once the grammar check has passed.
@@ -119,6 +133,29 @@ def parse_code(text: str, lenient: bool = False) -> TaxonomyCode:
     :class:`CodeSyntaxError` (with the offending character offset) for
     anything else the grammar rejects.
     """
+    if not lenient and type(text) is str:
+        match = _STRICT_RE.fullmatch(text)
+        if match is not None:
+            profile, taxonomy, category, item, leaves = match.groups()
+            if taxonomy not in _CASE_VARIANTS:
+                leaf_path = ()
+                if leaves:
+                    try:
+                        leaf_path = tuple(map(int, leaves[1:].split(".")))
+                    except ValueError:  # beyond int()'s digit limit
+                        return _scan(text, False)
+                code = TaxonomyCode(taxonomy, category, item, leaf_path,
+                                    profile)
+                # Strictly parsed text is already canonical: seed
+                # format_code's cache.
+                code.__dict__[_TEXT] = text
+                return code
+    return _scan(text, lenient)
+
+
+def _scan(text: str, lenient: bool) -> TaxonomyCode:
+    """Token-by-token parse: raises the documented error with its offset
+    for text the strict pattern rejects, and folds case when lenient."""
     if not isinstance(text, str):
         raise _fail("", "code must be a string", 0)
     if text == "":
@@ -153,11 +190,7 @@ def parse_code(text: str, lenient: bool = False) -> TaxonomyCode:
         number, pos = _scan_number(text, work, pos)
         leaves.append(number)
 
-    code = TaxonomyCode(taxonomy, category, item, tuple(leaves), profile)
-    if not lenient and type(text) is str:
-        # Strictly parsed text is already canonical: seed format_code's cache.
-        code.__dict__[_TEXT] = text
-    return code
+    return TaxonomyCode(taxonomy, category, item, tuple(leaves), profile)
 
 
 def _expect_dot(text: str, work: str, pos: int) -> int:
@@ -204,7 +237,10 @@ def _scan_number(text: str, work: str, pos: int) -> tuple[int, int]:
     match = _NUM_RE.match(work, pos)
     if match is None:
         raise _fail(text, "expected leaf number", pos)
-    return int(match.group(0)), match.end()
+    try:
+        return int(match.group(0)), match.end()
+    except ValueError:  # beyond the interpreter's int() digit limit
+        raise _fail(text, "leaf number too long", pos) from None
 
 
 def format_code(code: TaxonomyCode) -> str:

@@ -18,7 +18,7 @@ import io
 import json
 import os
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,6 +40,10 @@ from .record import (
 
 LOCK_NAME = ".taxidma-lock"
 GROUPINGS = ("category", "item", "leaf")
+# Dot-separated segments a group code keeps: TAX.CAT, TAX.CAT.ITEM and
+# TAX.CAT.ITEM.n.
+_GROUP_DEPTHS = {group_by: 2 + level
+                 for level, group_by in enumerate(GROUPINGS)}
 
 
 class Corpus:
@@ -133,34 +137,29 @@ class StatsReport:
     entries: tuple[StatsEntry, ...]
 
 
-def _group_code(code: TaxonomyCode, group_by: str,
+def _group_code(code: TaxonomyCode, depth: int,
                 merge_profiles: bool) -> str:
+    """The code's canonical text cut to its first ``depth`` segments (all
+    of them when it is shallower), without the profile if merging."""
+    text = format_code(code)
     if merge_profiles:
-        code = replace(code, profile=None)
-    if group_by == "category":
-        pruned = replace(code, item=None, leaf_path=())
-    elif group_by == "item":
-        pruned = replace(code, leaf_path=())
-    else:
-        pruned = replace(code, leaf_path=code.leaf_path[:1])
-    return format_code(pruned)
+        text = text[text.find(":") + 1:]
+    return ".".join(text.split(".", depth)[:depth])
 
 
-def _check_group_by(group_by: str) -> None:
+def _group_depth(group_by: str) -> int:
     if group_by not in GROUPINGS:
         raise ValueError(
             f"group_by must be one of {', '.join(GROUPINGS)}; "
             f"got {group_by!r}")
+    return _GROUP_DEPTHS[group_by]
 
 
-def _record_codes(record: AttackRecord, group_by: str,
+def _record_codes(record: AttackRecord, depth: int,
                   merge_profiles: bool) -> list[str]:
-    codes = []
-    for application in (record.background, *record.applications):
-        for selection in application.selections:
-            codes.append(_group_code(selection.code, group_by,
-                                     merge_profiles))
-    return codes
+    return [_group_code(selection.code, depth, merge_profiles)
+            for application in (record.background, *record.applications)
+            for selection in application.selections]
 
 
 def _full_name(catalog: Catalog, code_text: str) -> str:
@@ -180,14 +179,18 @@ def compute_stats(records: Iterable[AttackRecord], catalog: Catalog,
     ``count_selections`` switches to raw selection counts.
     ``merge_profiles`` folds profile-qualified codes into their base
     taxonomy.  Entries come back sorted by count (descending), then code.
+
+    Group codes are cut from each selection's canonical text, so a
+    selection whose code breaks the grammar (an in-memory code with leaf
+    ``-1``, say) raises :class:`InvalidCodeError` at any grouping depth.
     """
-    _check_group_by(group_by)
+    depth = _group_depth(group_by)
     counts: dict[str, int] = {}
     record_total = 0
     selection_total = 0
     for record in records:
         record_total += 1
-        codes = _record_codes(record, group_by, merge_profiles)
+        codes = _record_codes(record, depth, merge_profiles)
         selection_total += len(codes)
         if not count_selections:
             codes = sorted(set(codes))
@@ -210,11 +213,10 @@ def co_occurrence(records: Iterable[AttackRecord],
     Key ``(a, b)`` with ``a <= b`` counts records selecting both codes; the
     diagonal ``(a, a)`` equals the plain frequency.
     """
-    _check_group_by(group_by)
+    depth = _group_depth(group_by)
     pairs: dict[tuple[str, str], int] = {}
     for record in records:
-        present = sorted(set(_record_codes(record, group_by,
-                                           merge_profiles)))
+        present = sorted(set(_record_codes(record, depth, merge_profiles)))
         for i, left in enumerate(present):
             for right in present[i:]:
                 key = (left, right)

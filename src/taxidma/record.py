@@ -18,6 +18,7 @@ from .catalog import Catalog
 from .codes import KNOWN_TAXONOMIES, TaxonomyCode, format_code, parse_code
 from .errors import (
     BackgroundNotApplicableError,
+    CodeSyntaxError,
     InvalidCodeError,
     InvalidIdentifierError,
     InvalidRecordError,
@@ -376,7 +377,7 @@ def _parse_file_code(text, where: str) -> TaxonomyCode:
         raise MalformedFileError(f"{where}: code must be a string")
     try:
         code = parse_code(text)
-    except Exception as exc:
+    except CodeSyntaxError as exc:
         raise MalformedFileError(f"{where}: {exc}") from exc
     if code.taxonomy not in KNOWN_TAXONOMIES:
         raise MalformedFileError(

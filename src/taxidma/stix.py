@@ -25,9 +25,12 @@ from datetime import datetime, timezone
 from .catalog import Catalog, Leaf
 from .codes import TaxonomyCode, format_code, parse_code
 from .errors import (
+    CodeSyntaxError,
+    InvalidCodeError,
     InvalidRecordError,
     MalformedBundleError,
     UnknownExtensionVersionError,
+    UnknownPathError,
 )
 from .record import (
     AttackRecord,
@@ -758,7 +761,7 @@ def _parse_tax_key(value: str | None, default: str = "BG"
         value = default
     try:
         code = parse_code(value)
-    except Exception:
+    except CodeSyntaxError:
         return None
     return code if code.depth == 0 else None
 
@@ -902,14 +905,19 @@ class _Inverter:
         try:
             code = parse_code(code_text)
             self.catalog.resolve(code)
-        except Exception:
+        except (CodeSyntaxError, InvalidCodeError, UnknownPathError):
             self.residue.append(ResidueEntry(
                 str(obj.get("id")), "vulnerability",
                 f"unusable code marker {code_text!r}"))
             return
-        note = obj.get("description")
-        sink.append(Selection(code, free_text=obj.get("name"),
-                              note=note if isinstance(note, str) else None))
+        name, note = obj.get("name"), obj.get("description")
+        for field_name, value in (("name", name), ("description", note)):
+            if value is not None and not isinstance(value, str):
+                self.residue.append(ResidueEntry(
+                    str(obj.get("id")), "vulnerability",
+                    f"{field_name} is not a string"))
+                return
+        sink.append(Selection(code, free_text=name, note=note))
 
     def _take_device(self, obj: dict, payload: dict) -> None:
         tax_key, sink = self._target(obj)

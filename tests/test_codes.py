@@ -2,9 +2,12 @@
 from __future__ import annotations
 
 import random
+import string
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taxidma.codes import TaxonomyCode, canonicalize, format_code, parse_code
 from taxidma.errors import CodeSyntaxError, EmptyInputError, InvalidCodeError
@@ -217,3 +220,57 @@ def test_list_leaf_path_is_checked_on_every_render():
     code.leaf_path.append(-1)
     with pytest.raises(InvalidCodeError):
         format_code(code)
+
+
+# -- property: the strict parser against the oracle ---------------------------
+
+CODE_ALPHABET = "IoTSIBGUEWAKXYZ:.0123456789 "
+_ALPHABET = "".join(sorted(set(CODE_ALPHABET + CODE_ALPHABET.lower())))
+_LETTERS = "".join(sorted(set(CODE_ALPHABET) & set(string.ascii_uppercase)))
+
+
+def _mostly(shape):
+    """Mostly tokens of one grammar shape, sometimes any short text."""
+    return st.one_of(shape, shape, shape, st.text(_ALPHABET, max_size=3))
+
+
+@st.composite
+def _code_like_text(draw):
+    """Random text over the code alphabet; half of it is built segment by
+    segment, which reaches the deeper levels far more often."""
+    if draw(st.booleans()):
+        return draw(st.text(_ALPHABET, max_size=16))
+    head = draw(st.sampled_from(["", "", "IoT:", "SSI:", "IOT:", "ssi:", ":"]))
+    segments = [
+        draw(_mostly(st.one_of(st.sampled_from(["IoT", "SSI", "IOT"]),
+                               st.text(_LETTERS, min_size=2, max_size=3)))),
+        draw(_mostly(st.text(_LETTERS, min_size=1, max_size=1))),
+        draw(_mostly(st.text(_LETTERS, min_size=1, max_size=2))),
+        *draw(st.lists(_mostly(st.text(string.digits, min_size=1,
+                                       max_size=3)),
+                       min_size=1, max_size=4)),
+    ]
+    keep = draw(st.one_of(st.just(len(segments)),
+                          st.integers(1, len(segments))))
+    return head + ".".join(segments[:keep])
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(_code_like_text())
+def test_strict_parse_accepts_exactly_what_the_oracle_accepts(text):
+    if grammar_oracle.is_valid(text):
+        code = parse_code(text)
+        assert format_code(code) == text
+        assert (code.profile, code.taxonomy, code.category, code.item,
+                code.leaf_path) == grammar_oracle.expected_parts(text)
+    else:
+        with pytest.raises(CodeSyntaxError) as exc:
+            parse_code(text)
+        assert 0 <= exc.value.offset <= len(text)
+
+
+def test_overlong_leaf_number_is_a_syntax_error():
+    # int() refuses this many digits; the parser reports the segment instead.
+    with pytest.raises(CodeSyntaxError) as exc:
+        parse_code("BG.I.A.1." + "7" * 5000)
+    assert exc.value.offset == 9

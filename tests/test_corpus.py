@@ -12,6 +12,7 @@ import pytest
 import counting_oracle as oracle
 from conftest import FIXTURES, FIXTURE_IDS
 from record_gen import record_batch
+from taxidma.codes import TaxonomyCode
 from taxidma.corpus import (
     Corpus,
     GROUPINGS,
@@ -23,11 +24,18 @@ from taxidma.corpus import (
     render_table,
 )
 from taxidma.errors import (
+    InvalidCodeError,
     MalformedFileError,
     RecordNotFoundError,
     StorageFailureError,
 )
-from taxidma.record import BACKGROUND, add_selection, new_record, write_record
+from taxidma.record import (
+    BACKGROUND,
+    Selection,
+    add_selection,
+    new_record,
+    write_record,
+)
 
 
 @pytest.fixture
@@ -277,3 +285,44 @@ def test_programming_errors_in_naming_propagate():
     add_selection(record, BACKGROUND, "BG.I.A.1")
     with pytest.raises(TypeError):
         compute_stats([record], BrokenCatalog())
+
+
+_DEPTH_MIX = ("BG.K", "BG.K.R", "BG.K.R.4", "UE.K.T.1.4.4", "IoT:SI.K",
+              "IoT:SI.K.G", "IoT:SI.K.G.2", "SSI:UE.K.T.1.4")
+
+
+@pytest.mark.parametrize("group_by", GROUPINGS)
+@pytest.mark.parametrize("merge_profiles", [False, True])
+def test_grouping_cuts_codes_of_every_depth(bundled_catalog, group_by,
+                                            merge_profiles):
+    # Codes shallower than the grouping (an item under "leaf", a category
+    # under "item") count as themselves; deeper ones are cut.
+    record = new_record("r1", "t", "d")
+    for text in _DEPTH_MIX:
+        add_selection(record, BACKGROUND, text)
+    add_selection(record, BACKGROUND,
+                  TaxonomyCode("UE", "K", "T", (1, 4), "IoT"))  # never parsed
+    report = compute_stats([record], bundled_catalog, group_by,
+                           count_selections=True,
+                           merge_profiles=merge_profiles)
+    expected: dict[str, int] = {}
+    for text in (*_DEPTH_MIX, "IoT:UE.K.T.1.4"):
+        code = oracle.prune(text, group_by, merge_profiles)
+        expected[code] = expected.get(code, 0) + 1
+    assert {entry.code: entry.count for entry in report.entries} == expected
+    pairs = co_occurrence([record], group_by, merge_profiles=merge_profiles)
+    assert {a for a, _ in pairs} == set(expected)
+
+
+@pytest.mark.parametrize("group_by", GROUPINGS)
+def test_in_memory_code_breaking_the_grammar_raises(bundled_catalog,
+                                                    group_by):
+    # The group code is cut from the canonical text, so a code that has
+    # none is an error even where the cut would drop the bad leaf.
+    record = new_record("r1", "t", "d")
+    record.background.selections.append(
+        Selection(TaxonomyCode("BG", "I", "A", (-1,))))
+    with pytest.raises(InvalidCodeError):
+        compute_stats([record], bundled_catalog, group_by)
+    with pytest.raises(InvalidCodeError):
+        co_occurrence([record], group_by)

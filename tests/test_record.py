@@ -8,6 +8,7 @@ from datetime import datetime, timezone
 
 import pytest
 
+from taxidma import record as record_module
 from taxidma.codes import format_code
 from taxidma.errors import (
     BackgroundNotApplicableError,
@@ -301,6 +302,25 @@ def test_read_record_rejects_unknown_taxonomy_token(catalog):
     record = build_minimal(catalog)
     text = write_record(record).replace('"BG.K.R.4"', '"XX.K.R.4"')
     with pytest.raises(MalformedFileError):
+        read_record(text)
+
+
+def test_parser_bugs_are_not_reported_as_malformed_files(catalog,
+                                                        monkeypatch):
+    text = write_record(build_minimal(catalog))
+
+    def parse_code(text, lenient=False):
+        raise RuntimeError("bug in the parser")
+
+    monkeypatch.setattr(record_module, "parse_code", parse_code)
+    with pytest.raises(RuntimeError, match="bug in the parser"):
+        read_record(text)
+
+
+def test_overlong_leaf_number_is_a_malformed_file(catalog):
+    text = write_record(build_minimal(catalog)).replace(
+        '"BG.K.R.4"', '"BG.K.R.4' + "0" * 5000 + '"')
+    with pytest.raises(MalformedFileError, match="leaf number too long"):
         read_record(text)
 
 

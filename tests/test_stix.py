@@ -9,6 +9,7 @@ import pytest
 
 from conftest import FIXTURE_IDS, load_fixture_record, scope_groups
 from record_gen import record_batch
+from taxidma import stix
 from taxidma.catalog import (
     BUNDLED_CATALOG_RESOURCE,
     load_bundled_catalog,
@@ -19,7 +20,15 @@ from taxidma.errors import (
     MalformedBundleError,
     UnknownExtensionVersionError,
 )
-from taxidma.record import BACKGROUND, add_selection, apply_taxonomy, new_record
+from taxidma.record import (
+    BACKGROUND,
+    add_selection,
+    apply_taxonomy,
+    new_record,
+    read_record,
+    validate_record,
+    write_record,
+)
 from taxidma.stix import (
     CREATOR_ID,
     EXTENSION_DEFINITION_ID,
@@ -488,6 +497,57 @@ def test_imported_record_identity(bundled_catalog):
         [app.taxonomy.taxonomy_key for app in record.applications]
     assert [app.instance_label for app in rebuilt.applications] == \
         [app.instance_label for app in record.applications]
+
+
+@pytest.mark.parametrize("field_name", ["name", "description"])
+@pytest.mark.parametrize("value", [42, ["CVE-2020-10148"], {"id": 1}])
+def test_non_string_vulnerability_text_is_residue(bundled_catalog,
+                                                  field_name, value):
+    record = load_fixture_record("solarwinds-2020")
+    bundle = to_stix(record, bundled_catalog, DETERMINISTIC)
+    vulnerability = only(bundle, "vulnerability")
+    vulnerability[field_name] = value
+    rebuilt, residue = from_stix(bundle, bundled_catalog)
+    assert [(entry.object_id, entry.object_type, entry.reason)
+            for entry in residue] == \
+        [(vulnerability["id"], "vulnerability",
+          f"{field_name} is not a string")]
+    assert all(selection.code.item != "Y"
+               for selection in rebuilt.background.selections)
+    # Whatever from_stix returns survives validate, emit, write and read.
+    validate_record(rebuilt, bundled_catalog)
+    to_stix(rebuilt, bundled_catalog, DETERMINISTIC)
+    assert read_record(write_record(rebuilt)) == rebuilt
+
+
+def _parse_code_failing_on(monkeypatch, failing_text):
+    real = stix.parse_code
+
+    def parse_code(text, lenient=False):
+        if text == failing_text:
+            raise RuntimeError(f"bug while parsing {text!r}")
+        return real(text, lenient)
+
+    monkeypatch.setattr(stix, "parse_code", parse_code)
+
+
+def test_parser_bug_in_vulnerability_marker_propagates(bundled_catalog,
+                                                       monkeypatch):
+    record = load_fixture_record("solarwinds-2020")
+    bundle = to_stix(record, bundled_catalog, DETERMINISTIC)
+    marker = taxidma_ext(only(bundle, "vulnerability"))["code"]
+    _parse_code_failing_on(monkeypatch, marker)
+    with pytest.raises(RuntimeError, match="bug while parsing"):
+        from_stix(bundle, bundled_catalog)
+
+
+def test_parser_bug_in_taxonomy_marker_propagates(bundled_catalog,
+                                                  monkeypatch):
+    record = load_fixture_record("canva-2019")
+    bundle = to_stix(record, bundled_catalog, DETERMINISTIC)
+    _parse_code_failing_on(monkeypatch, "UE")  # the application's taxonomy
+    with pytest.raises(RuntimeError, match="bug while parsing"):
+        from_stix(bundle, bundled_catalog)
 
 
 # -- bundle validation --------------------------------------------------------
