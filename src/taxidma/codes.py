@@ -247,9 +247,10 @@ def format_code(code: TaxonomyCode) -> str:
     """Render a :class:`TaxonomyCode` back to its canonical string.
 
     Raises :class:`InvalidCodeError` if the structured value violates the
-    grammar (bad charset, broken nesting, negative leaf numbers).  The check
-    runs once per code: the text is cached on the instance when its
-    ``leaf_path`` is a tuple (a list could still change).
+    grammar (bad charset, broken nesting, negative leaf numbers) or has a
+    leaf number too long to render.  The check runs once per code: the
+    text is cached on the instance when its ``leaf_path`` is a tuple (a
+    list could still change).
     """
     cached = getattr(code, "__dict__", _NO_TEXT).get(_TEXT)
     if cached is not None:
@@ -282,7 +283,10 @@ def format_code(code: TaxonomyCode) -> str:
         parts.append(code.category)
     if code.item is not None:
         parts.append(code.item)
-    parts.extend(str(n) for n in code.leaf_path)
+    try:
+        parts.extend(str(n) for n in code.leaf_path)
+    except ValueError:  # beyond the interpreter's str() digit limit
+        raise InvalidCodeError("leaf number too long") from None
     body = ".".join(parts)
     text = f"{code.profile}:{body}" if code.profile else body
     if isinstance(code, TaxonomyCode) and type(code.leaf_path) is tuple:

@@ -222,9 +222,15 @@ def _validate_application(catalog: Catalog, scope: int,
         err("application-taxonomy", _scope_path(scope),
             "BG is the background taxonomy; it is not repeatable")
 
+    codes: list[TaxonomyCode] = []  # the selection codes that render
     for index, selection in enumerate(application.selections):
         path = _scope_path(scope, index)
-        code_text = format_code(selection.code)
+        try:
+            code_text = format_code(selection.code)
+        except InvalidCodeError as exc:
+            err("invalid-code", path, str(exc))
+            continue
+        codes.append(selection.code)
         if tax_ok and (selection.code.profile, selection.code.taxonomy) != (
                 taxonomy.profile, taxonomy.taxonomy):
             err("selection-taxonomy-mismatch", path,
@@ -252,9 +258,8 @@ def _validate_application(catalog: Catalog, scope: int,
                  f"{code_text} selects a whole item that has leaves; "
                  "pick a leaf when one fits")
 
-    for i, first in enumerate(application.selections):
-        for second in application.selections[i + 1:]:
-            a, b = first.code, second.code
+    for i, a in enumerate(codes):
+        for b in codes[i + 1:]:
             if a == b:
                 warn("duplicate-selection", _scope_path(scope),
                      f"{format_code(a)} is selected more than once")

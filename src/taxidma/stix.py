@@ -8,11 +8,15 @@ osint).  ``from_stix`` inverts the mapping and reports anything it could not
 claim as residue.  ``validate_bundle`` checks bundle well-formedness and the
 extension schema without touching the network.
 
-Selections map to object properties location by location; leaf display
-names become lowercase hyphenated vocabulary tokens.  Locations with no
-sensible STIX slot (delivery, attack vector, head-count, target/identity
-types, IoT characteristics and identity location) stay record-file-only and
-are excluded from the round-trip contract.
+One slot table, ``_SLOTS``, maps selections to object properties location
+by location; emission, inversion and the extension schema are all derived
+from it.  Leaf display names become lowercase hyphenated vocabulary tokens.
+Locations without a row stay record-file-only and are excluded from the
+round-trip contract: delivery (K.D), attack vector (K.V), target type
+(T.T), target identity (T.I), identity type (I.T), permissions (I.P), the
+IoT background's identity location (I.O) and IoT characteristics (T.H),
+plus attacker amount (A.T.1), since attacker type maps only its profile
+subtree.
 """
 from __future__ import annotations
 
@@ -84,54 +88,132 @@ COMMON_PROPS = {
     "description", "defanged",
 }
 
+# -- the slot table -----------------------------------------------------------
+
+_BG, _APP = "background", "application"
+
+
+@dataclass(frozen=True, eq=False)
+class _Slot:
+    """Where the selections under one catalog location travel in STIX.
+
+    A selection in one of ``scopes`` whose code lies under (category, item,
+    leaf ``prefix``) becomes a vocabulary token in ``prop`` of the scope's
+    ``object_type`` object, inside the extension payload when ``nested``.
+    ``prop`` holds a list, unless ``overflow`` is set: then it holds the
+    first token and ``overflow`` (placed by ``overflow_nested``) the rest.
+    """
+
+    scopes: tuple[str, ...]
+    category: str
+    item: str
+    prefix: tuple[int, ...]
+    object_type: str
+    prop: str
+    nested: bool = False
+    overflow: str | None = None
+    overflow_nested: bool = False
+
+    def placements(self) -> tuple[tuple[str, bool], ...]:
+        """(property, inside the extension) for each property filled."""
+        if self.overflow is None:
+            return ((self.prop, self.nested),)
+        return ((self.prop, self.nested),
+                (self.overflow, self.overflow_nested))
+
+
+# Rows of one object type are in property order: serialize_bundle keeps
+# insertion order, so this order is the emitted key order.
+_SLOTS = (
+    _Slot((_BG,), "A", "T", (2,), "threat-actor", "threat_actor_types"),
+    _Slot((_BG,), "A", "C", (1,), "threat-actor", "primary_motivation",
+          overflow="secondary_motivations"),
+    _Slot((_BG,), "A", "C", (2,), "threat-actor", "resource_level",
+          overflow="additional_resource_levels", overflow_nested=True),
+    _Slot((_BG,), "A", "C", (3,), "threat-actor", "sophistication",
+          overflow="additional_sophistications", overflow_nested=True),
+    # Named "domain" instead where the item's display name is Domain.
+    _Slot((_BG,), "T", "S", (), "targeted-organization", "sector"),
+    _Slot((_BG,), "A", "C", (4,), "intrusion-set", "capabilities",
+          nested=True),
+    _Slot((_BG,), "K", "M", (), "intrusion-set", "impact", nested=True),
+    _Slot((_BG,), "K", "R", (), "intrusion-set", "results", nested=True),
+    _Slot((_APP,), "I", "E", (), "identity", "completeness", nested=True),
+    _Slot((_APP,), "I", "S", (), "identity", "timeliness", nested=True),
+    _Slot((_APP,), "I", "N", (), "identity", "directness", nested=True),
+    _Slot((_APP,), "I", "U", (), "identity", "amount", nested=True),
+    _Slot((_BG,), "I", "A", (), "identity", "authenticity", nested=True),
+    _Slot((_BG, _APP), "K", "T", (), "attack-pattern", "attack_type",
+          nested=True),
+    _Slot((_APP,), "K", "B", (), "attack-pattern", "identity_pattern",
+          nested=True),
+    # Each token wrapped as a kill-chain phase.
+    _Slot((_APP,), "I", "L", (), "attack-pattern", "kill_chain_phases"),
+    _Slot((_APP,), "K", "G", (), "indicator", "attack_category",
+          nested=True),
+    _Slot((_APP,), "T", "L", (), "device", "level"),
+    _Slot((_APP,), "T", "O", (), "device", "location"),
+    _Slot((_APP,), "T", "V", (), "device", "device_category"),
+)
+
+# (scope, category, item) -> the rows there; object type -> its rows.
+_SLOTS_AT: dict[tuple[str, str, str], list[_Slot]] = {}
+_SLOTS_OF: dict[str, list[_Slot]] = {}
+for _slot in _SLOTS:
+    for _where in _slot.scopes:
+        _SLOTS_AT.setdefault((_where, _slot.category, _slot.item),
+                             []).append(_slot)
+    _SLOTS_OF.setdefault(_slot.object_type, []).append(_slot)
+
+
+def _schema(object_type: str, nested: bool) -> tuple[str, ...]:
+    """The table's properties of one type and placement, plus the scope
+    markers: ``taxonomy``, and ``application_index`` when an application
+    scope can fill the type."""
+    slots = _SLOTS_OF.get(object_type, ())
+    markers = ("taxonomy", "application_index") if any(
+        _APP in slot.scopes for slot in slots) else ("taxonomy",)
+    return tuple(prop for slot in slots for prop, inside in slot.placements()
+                 if inside == nested) + markers
+
+
+# Properties of the three new SDO types that the table does not supply:
+# "domain" is the renamed sector, the rest is never emitted, and the
+# category object has no rows but is emitted per application.
+_NEW_SDO_EXTRAS = {
+    "targeted-organization": ("domain", "description", "size"),
+    "device": (),
+    "identity-management-category": (
+        "description", "vendor", "protocol", "version", "indicator", "cpe",
+        "swid", "languages", "kill_chain_phase", "application_index"),
+}
+
 # Schemas of the three SDO types this extension introduces.  ``taxonomy``
 # and ``application_index`` tie an object back to the record structure.
 NEW_SDO_PROPERTIES = {
-    "targeted-organization": {
-        "required": ("name",),
-        "optional": ("sector", "domain", "description", "size", "taxonomy"),
-    },
-    "device": {
-        "required": ("name",),
-        "optional": ("level", "location", "device_category", "taxonomy",
-                     "application_index"),
-    },
-    "identity-management-category": {
-        "required": ("name",),
-        "optional": ("description", "vendor", "protocol", "version",
-                     "indicator", "cpe", "swid", "languages",
-                     "kill_chain_phase", "taxonomy", "application_index"),
-    },
+    object_type: {"required": ("name",),
+                  "optional": _schema(object_type, False) + extras}
+    for object_type, extras in _NEW_SDO_EXTRAS.items()
 }
 
 NEW_SCO_TYPES = ("social-engineering", "osint")
 
-# Extension payload properties allowed per existing object type.
-_EXTENSION_PROPS = {
-    "threat-actor": {"taxonomy", "additional_resource_levels",
-                     "additional_sophistications"},
-    "identity": {"taxonomy", "application_index", "completeness",
-                 "timeliness", "directness", "amount", "authenticity"},
-    "attack-pattern": {"taxonomy", "application_index", "attack_type",
-                       "identity_pattern"},
-    "indicator": {"taxonomy", "application_index", "attack_category"},
-    "intrusion-set": {"taxonomy", "capabilities", "impact", "results"},
-    "vulnerability": {"taxonomy", "code"},
-    "social-engineering": set(),
-    "osint": set(),
-    "targeted-organization": set(),
-    "device": set(),
-    "identity-management-category": set(),
-}
+# Extension payload properties allowed per object type.  The new types
+# carry nothing but ``extension_type`` there; vulnerabilities carry their
+# code.
+_EXTENSION_PROPS: dict[str, set[str]] = {
+    object_type: set() for object_type in (*NEW_SDO_PROPERTIES,
+                                           *NEW_SCO_TYPES)}
+_EXTENSION_PROPS.update((object_type, set(_schema(object_type, True)))
+                        for object_type in _SLOTS_OF
+                        if object_type not in NEW_SDO_PROPERTIES)
+_EXTENSION_PROPS["vulnerability"] = {"taxonomy", "code"}
 
 # Taxidma vocabulary properties that must never sit top-level on a standard
 # STIX type.
-_NESTED_ONLY_PROPS = {
-    "attack_type", "identity_pattern", "attack_category", "completeness",
-    "timeliness", "directness", "amount", "authenticity", "capabilities",
-    "impact", "results", "additional_resource_levels",
-    "additional_sophistications",
-}
+_NESTED_ONLY_PROPS = tuple(dict.fromkeys(
+    prop for slot in _SLOTS for prop, inside in slot.placements()
+    if inside))
 
 _IDENTITY_CLASS = {"BG": "unknown", "SI": "system", "IMS": "system",
                    "UE": "individual"}
@@ -148,11 +230,9 @@ _REQUIRED_BY_TYPE = {
     "relationship": ("relationship_type", "source_ref", "target_ref"),
     "extension-definition": ("name", "schema", "version", "extension_types",
                              "created_by_ref"),
-    "targeted-organization": ("name",),
-    "device": ("name",),
-    "identity-management-category": ("name",),
-    "social-engineering": ("value",),
-    "osint": ("value",),
+    **{object_type: schema["required"]
+       for object_type, schema in NEW_SDO_PROPERTIES.items()},
+    **dict.fromkeys(NEW_SCO_TYPES, ("value",)),
 }
 
 
@@ -288,54 +368,7 @@ class VocabularyTables:
         return self._cache[key][1].get(token)
 
 
-# -- mapping rows -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Row:
-    category: str
-    item: str
-    prefix: tuple[int, ...]
-    slot: str  # bucket key, e.g. "actor.threat_actor_types"
-
-
-_BACKGROUND_ROWS = (
-    _Row("A", "T", (2,), "actor.threat_actor_types"),
-    _Row("A", "C", (1,), "actor.motivations"),
-    _Row("A", "C", (2,), "actor.resource_levels"),
-    _Row("A", "C", (3,), "actor.sophistications"),
-    _Row("A", "C", (4,), "set.capabilities"),
-    _Row("T", "S", (), "org.area"),
-    _Row("I", "A", (), "identity.authenticity"),
-    _Row("K", "T", (), "pattern.attack_type"),
-    _Row("K", "R", (), "set.results"),
-    _Row("K", "M", (), "set.impact"),
-)
-
-_APPLICATION_ROWS = (
-    _Row("T", "L", (), "device.level"),
-    _Row("T", "O", (), "device.location"),
-    _Row("T", "V", (), "device.device_category"),
-    _Row("I", "L", (), "pattern.kill_chain"),
-    _Row("I", "E", (), "identity.completeness"),
-    _Row("I", "S", (), "identity.timeliness"),
-    _Row("I", "N", (), "identity.directness"),
-    _Row("I", "U", (), "identity.amount"),
-    _Row("K", "G", (), "indicator.attack_category"),
-    _Row("K", "T", (), "pattern.attack_type"),
-    _Row("K", "B", (), "pattern.identity_pattern"),
-)
-
-
-def _match_row(rows: tuple[_Row, ...], code: TaxonomyCode) -> _Row | None:
-    for row in rows:
-        if (row.category, row.item) != (code.category, code.item):
-            continue
-        if len(code.leaf_path) < len(row.prefix):
-            continue
-        if code.leaf_path[: len(row.prefix)] == row.prefix:
-            return row
-    return None
+# -- scopes -------------------------------------------------------------------
 
 
 @dataclass
@@ -347,7 +380,8 @@ class _Scope:
     tax_key: str
     label: str
     is_ims: bool = False
-    values: dict[str, list[str]] = field(default_factory=dict)
+    values: dict[_Slot, list[str]] = field(default_factory=dict)
+    filled: set[str] = field(default_factory=set)  # types with values
     vulnerabilities: list[Selection] = field(default_factory=list)
     # (scope tag, taxonomy key, canonical code, free_text)
     mapped: list[tuple[str, str, str, str | None]] = field(
@@ -362,11 +396,9 @@ class _Scope:
                 "K", "G"):
             self.indicator_code = text
 
-    def add(self, slot: str, token: str) -> None:
-        self.values.setdefault(slot, []).append(token)
-
-    def get(self, slot: str) -> list[str]:
-        return self.values.get(slot, [])
+    def tokens(self, prop: str) -> list[str]:
+        return next((tokens for slot, tokens in self.values.items()
+                     if slot.prop == prop), [])
 
 
 def _collect_scope(catalog: Catalog, scope_index: int | None,
@@ -381,7 +413,7 @@ def _collect_scope(catalog: Catalog, scope_index: int | None,
         ("background" if is_background else f"application {scope_index}"),
         is_ims=application.taxonomy.taxonomy == "IMS",
     )
-    rows = _BACKGROUND_ROWS if is_background else _APPLICATION_ROWS
+    where = _BG if is_background else _APP
     for selection in application.selections:
         code = selection.code
         _, _, item, _ = catalog.resolve(code)
@@ -390,14 +422,24 @@ def _collect_scope(catalog: Catalog, scope_index: int | None,
                 scope.vulnerabilities.append(selection)
                 scope.map(code, selection.free_text)
             continue
-        row = _match_row(rows, code)
-        if row is None:
+        slot = next((slot for slot in _SLOTS_AT.get(
+            (where, code.category, code.item), ())
+            if code.leaf_path[:len(slot.prefix)] == slot.prefix), None)
+        if slot is None:
             continue
         token = catalog.vocabulary.token_for(tax_key, code.category, code.item,
-                                             row.prefix, format_code(code))
-        scope.add(row.slot, token)
+                                             slot.prefix, format_code(code))
+        scope.values.setdefault(slot, []).append(token)
+        scope.filled.add(slot.object_type)
         scope.map(code, selection.free_text)
     return scope
+
+
+def _collect_scopes(catalog: Catalog, record: AttackRecord) -> list[_Scope]:
+    """The background's scope, then one per application."""
+    return [_collect_scope(catalog, None, record.background)] + [
+        _collect_scope(catalog, index, application)
+        for index, application in enumerate(record.applications)]
 
 
 def mapped_selections(record: AttackRecord, catalog: Catalog
@@ -407,11 +449,8 @@ def mapped_selections(record: AttackRecord, catalog: Catalog
     round-trip contract is over this list grouped by scope tag: the same
     scopes (up to application renumbering) holding the same multisets of
     (taxonomy key, code, free_text)."""
-    out: list[tuple[str, str, str, str | None]] = []
-    out.extend(_collect_scope(catalog, None, record.background).mapped)
-    for index, application in enumerate(record.applications):
-        out.extend(_collect_scope(catalog, index, application).mapped)
-    return out
+    return [entry for scope in _collect_scopes(catalog, record)
+            for entry in scope.mapped]
 
 
 # -- emission -----------------------------------------------------------------
@@ -451,22 +490,40 @@ def _base_object(object_type: str, object_id: str, stamp: str,
     return out
 
 
-def _extension_payload(extension_type: str, tax_key: str | None = None,
-                       index: int | None = None, **props) -> dict:
-    payload: dict = {"extension_type": extension_type}
-    if tax_key is not None:
-        payload["taxonomy"] = tax_key
-    if index is not None:
-        payload["application_index"] = index
-    for key, value in props.items():
-        if value not in (None, [], ""):
-            payload[key] = value
-    return payload
-
-
 def _attach(obj: dict, payload: dict) -> dict:
     obj["extensions"] = {EXTENSION_DEFINITION_ID: payload}
     return obj
+
+
+def _build(object_type: str, object_id: str, stamp: str, name: str,
+           scope: _Scope, rename: dict[str, str], extras: dict) -> dict:
+    """An object of a table-mapped type, filled from ``scope``.
+
+    The type's top-level slot properties come first, in row order (with
+    ``rename`` applied), then ``extras``.  A new SDO type then takes the
+    scope markers top-level and a bare new-sdo extension; an existing type
+    takes them, followed by its extension-placed slot properties, in a
+    property extension.
+    """
+    obj = _base_object(object_type, object_id, stamp, name)
+    nested: dict = {}
+    for slot in _SLOTS_OF.get(object_type, ()):
+        tokens = scope.values.get(slot)
+        if not tokens:
+            continue
+        values = (tokens[0], tokens[1:]) if slot.overflow else (tokens,)
+        for (prop, inside), value in zip(slot.placements(), values):
+            if value:
+                (nested if inside else obj)[rename.get(prop, prop)] = value
+    obj.update(extras)
+    markers: dict = {"taxonomy": scope.tax_key}
+    if scope.index is not None:
+        markers["application_index"] = scope.index
+    if object_type in NEW_SDO_PROPERTIES:
+        obj.update(markers)
+        return _attach(obj, {"extension_type": "new-sdo"})
+    return _attach(obj, {"extension_type": "property-extension", **markers,
+                         **nested})
 
 
 def to_stix(record: AttackRecord, catalog: Catalog,
@@ -492,10 +549,8 @@ def to_stix(record: AttackRecord, catalog: Catalog,
     incident["description"] = record.description
     objects.append(incident)
 
-    background = _collect_scope(catalog, None, record.background)
-    scopes = [background]
-    for index, application in enumerate(record.applications):
-        scopes.append(_collect_scope(catalog, index, application))
+    scopes = _collect_scopes(catalog, record)
+    background = scopes[0]
 
     relationships: list[tuple[str, str, str]] = []
 
@@ -503,62 +558,29 @@ def to_stix(record: AttackRecord, catalog: Catalog,
         if source and target:
             relationships.append((source, rel_type, target))
 
-    # Record-scoped objects, fed by the background scope.
-    actor_id = None
-    actor_slots = ("actor.threat_actor_types", "actor.motivations",
-                   "actor.resource_levels", "actor.sophistications")
-    if any(background.get(slot) for slot in actor_slots):
-        actor_id = mint("threat-actor", "record")
-        actor = _base_object("threat-actor", actor_id, stamp, record.title)
-        types = background.get("actor.threat_actor_types")
-        if types:
-            actor["threat_actor_types"] = types
-        motivations = background.get("actor.motivations")
-        if motivations:
-            actor["primary_motivation"] = motivations[0]
-            if motivations[1:]:
-                actor["secondary_motivations"] = motivations[1:]
-        resources = background.get("actor.resource_levels")
-        if resources:
-            actor["resource_level"] = resources[0]
-        sophistication = background.get("actor.sophistications")
-        if sophistication:
-            actor["sophistication"] = sophistication[0]
-        _attach(actor, _extension_payload(
-            "property-extension", background.tax_key,
-            additional_resource_levels=resources[1:] if resources else None,
-            additional_sophistications=(sophistication[1:]
-                                        if sophistication else None)))
-        objects.append(actor)
+    def emit(object_type: str, scope: _Scope, tag: str, name: str,
+             rename: dict[str, str] | None = None, **extras) -> dict:
+        obj = _build(object_type, mint(object_type, tag), stamp, name,
+                     scope, rename or {}, extras)
+        objects.append(obj)
+        return obj
 
-    org_id = None
-    area = background.get("org.area")
-    if area:
-        org_id = mint("targeted-organization", "record")
-        org = _base_object("targeted-organization", org_id, stamp,
-                           record.title)
+    # Record-scoped objects, fed by the background scope.
+    actor_id = org_id = set_id = campaign_id = None
+    if "threat-actor" in background.filled:
+        actor_id = emit("threat-actor", background, "record",
+                        record.title)["id"]
+    if "targeted-organization" in background.filled:
         # The item's display name picks the property: Sector or Domain.
         profile, _, tax = background.tax_key.rpartition(":")
         sector_item = catalog.lookup(TaxonomyCode(tax, "T", "S",
                                                   profile=profile or None))
-        org[sector_item.name.lower()] = area
-        org["taxonomy"] = background.tax_key
-        _attach(org, _extension_payload("new-sdo"))
-        objects.append(org)
+        org_id = emit("targeted-organization", background, "record",
+                      record.title, {"sector": sector_item.name.lower()})["id"]
+    if "intrusion-set" in background.filled:
+        set_id = emit("intrusion-set", background, "record",
+                      record.title)["id"]
 
-    set_id = None
-    if any(background.get(s) for s in ("set.capabilities", "set.impact",
-                                       "set.results")):
-        set_id = mint("intrusion-set", "record")
-        intrusion = _base_object("intrusion-set", set_id, stamp, record.title)
-        _attach(intrusion, _extension_payload(
-            "property-extension", background.tax_key,
-            capabilities=background.get("set.capabilities"),
-            impact=background.get("set.impact"),
-            results=background.get("set.results")))
-        objects.append(intrusion)
-
-    campaign_id = None
     if options.campaign:
         campaign_id = mint("campaign", "record")
         campaign = _base_object("campaign", campaign_id, stamp, record.title)
@@ -579,124 +601,64 @@ def to_stix(record: AttackRecord, catalog: Catalog,
                 "source_name": "cve",
                 "external_id": selection.free_text,
             }]
-        _attach(vul, _extension_payload(
-            "property-extension", background.tax_key,
-            code=format_code(selection.code)))
-        objects.append(vul)
+        objects.append(_attach(vul, {
+            "extension_type": "property-extension",
+            "taxonomy": background.tax_key,
+            "code": format_code(selection.code)}))
 
     # Scope-local objects: identity, attack-pattern, indicator, device,
     # identity-management-category, derived observables.
-    attack_pattern_ids: list[str] = []
     for scope in scopes:
-        identity_id = None
-        identity_slots = ("identity.completeness", "identity.timeliness",
-                          "identity.directness", "identity.amount",
-                          "identity.authenticity")
-        if any(scope.get(slot) for slot in identity_slots):
-            identity_id = mint("identity", scope.tag)
+        identity_id = pattern_id = None
+        if "identity" in scope.filled:
             _, _, tax = scope.tax_key.rpartition(":")
-            identity = _base_object("identity", identity_id, stamp,
-                                    scope.label)
-            identity["identity_class"] = _IDENTITY_CLASS.get(tax, "unknown")
-            _attach(identity, _extension_payload(
-                "property-extension", scope.tax_key, scope.index,
-                completeness=scope.get("identity.completeness"),
-                timeliness=scope.get("identity.timeliness"),
-                directness=scope.get("identity.directness"),
-                amount=scope.get("identity.amount"),
-                authenticity=scope.get("identity.authenticity")))
-            objects.append(identity)
+            identity_id = emit(
+                "identity", scope, scope.tag, scope.label,
+                identity_class=_IDENTITY_CLASS.get(tax, "unknown"))["id"]
             relate(actor_id, "targets", identity_id)
 
-        pattern_id = None
-        if (scope.get("pattern.attack_type") or
-                scope.get("pattern.identity_pattern") or
-                scope.get("pattern.kill_chain")):
-            pattern_id = mint("attack-pattern", scope.tag)
-            attack_pattern_ids.append(pattern_id)
-            pattern = _base_object("attack-pattern", pattern_id, stamp,
-                                   scope.label)
-            phases = scope.get("pattern.kill_chain")
-            if phases:
+        if "attack-pattern" in scope.filled:
+            pattern = emit("attack-pattern", scope, scope.tag, scope.label,
+                           external_references=[{
+                               "source_name": EXTERNAL_SOURCE_NAME,
+                               "external_id": scope.tax_key,
+                           }])
+            if "kill_chain_phases" in pattern:
                 pattern["kill_chain_phases"] = [
                     {"kill_chain_name": KILL_CHAIN_NAME, "phase_name": token}
-                    for token in phases]
-            pattern["external_references"] = [{
-                "source_name": EXTERNAL_SOURCE_NAME,
-                "external_id": scope.tax_key,
-            }]
-            _attach(pattern, _extension_payload(
-                "property-extension", scope.tax_key, scope.index,
-                attack_type=scope.get("pattern.attack_type"),
-                identity_pattern=scope.get("pattern.identity_pattern")))
-            objects.append(pattern)
+                    for token in pattern["kill_chain_phases"]]
+            pattern_id = pattern["id"]
             relate(actor_id, "uses", pattern_id)
             relate(pattern_id, "targets", identity_id)
             if scope.index is None:
                 for vul_id in vulnerability_ids:
                     relate(pattern_id, "targets", vul_id)
-            if campaign_id:
-                relate(campaign_id, "uses", pattern_id)
+            relate(campaign_id, "uses", pattern_id)
 
-        categories = scope.get("indicator.attack_category")
-        if categories:
-            indicator_id = mint("indicator", scope.tag)
-            indicator = _base_object("indicator", indicator_id, stamp,
-                                     scope.label)
-            indicator["pattern"] = scope.indicator_code
-            indicator["pattern_type"] = PATTERN_TYPE
-            indicator["valid_from"] = stamp
-            _attach(indicator, _extension_payload(
-                "property-extension", scope.tax_key, scope.index,
-                attack_category=categories))
-            objects.append(indicator)
-            relate(indicator_id, "indicates", pattern_id)
+        if "indicator" in scope.filled:
+            indicator = emit("indicator", scope, scope.tag, scope.label,
+                             pattern=scope.indicator_code,
+                             pattern_type=PATTERN_TYPE, valid_from=stamp)
+            relate(indicator["id"], "indicates", pattern_id)
 
-        device_slots = ("device.level", "device.location",
-                        "device.device_category")
-        if any(scope.get(slot) for slot in device_slots):
-            device_id = mint("device", scope.tag)
-            device = _base_object("device", device_id, stamp, scope.label)
-            for slot, prop in (("device.level", "level"),
-                               ("device.location", "location"),
-                               ("device.device_category", "device_category")):
-                if scope.get(slot):
-                    device[prop] = scope.get(slot)
-            device["taxonomy"] = scope.tax_key
-            if scope.index is not None:
-                device["application_index"] = scope.index
-            _attach(device, _extension_payload("new-sdo"))
-            objects.append(device)
-            relate(pattern_id, "targets", device_id)
+        if "device" in scope.filled:
+            device = emit("device", scope, scope.tag, scope.label)
+            relate(pattern_id, "targets", device["id"])
 
         if scope.is_ims:
-            imc_id = mint("identity-management-category", scope.tag)
-            imc = _base_object("identity-management-category", imc_id, stamp,
-                               scope.label)
-            imc["taxonomy"] = scope.tax_key
-            if scope.index is not None:
-                imc["application_index"] = scope.index
-            _attach(imc, _extension_payload("new-sdo"))
-            objects.append(imc)
-            relate(pattern_id, "targets", imc_id)
+            category = emit("identity-management-category", scope,
+                            scope.tag, scope.label)
+            relate(pattern_id, "targets", category["id"])
 
-        attack_tokens = scope.get("pattern.attack_type")
-        derived = []
-        if "social-engineering" in attack_tokens:
-            derived.append("social-engineering")
-        if "osint-based" in attack_tokens:
-            derived.append("osint")
-        for sco_type in derived:
-            sco_id = mint(sco_type, scope.tag)
-            sco = {
-                "type": sco_type,
-                "id": sco_id,
-                "value": "social-engineering" if
-                         sco_type == "social-engineering" else "osint-based",
-            }
-            _attach(sco, _extension_payload("new-sco"))
-            objects.append(sco)
-            relate(sco_id, "related-to", identity_id or pattern_id)
+        attack_tokens = scope.tokens("attack_type")
+        for sco_type, value in (("social-engineering", "social-engineering"),
+                                ("osint", "osint-based")):
+            if value in attack_tokens:
+                sco_id = mint(sco_type, scope.tag)
+                objects.append(_attach(
+                    {"type": sco_type, "id": sco_id, "value": value},
+                    {"extension_type": "new-sco"}))
+                relate(sco_id, "related-to", identity_id or pattern_id)
 
     relate(actor_id, "targets", org_id)
 
@@ -776,27 +738,22 @@ class _Inverter:
         self.apps: dict[int, dict] = {}
         self.residue: list[ResidueEntry] = []
 
-    def _app(self, index: int) -> dict:
-        return self.apps.setdefault(index, {"taxonomy": None, "label": None,
-                                            "selections": []})
-
     def _target(self, obj: dict) -> tuple[str, list[Selection]]:
         taxonomy, index = _scope_markers(obj)
         if index is None:
             if taxonomy:
                 self.background_tax = self.background_tax or taxonomy
             return self.background_tax or taxonomy or "BG", self.background
-        app = self._app(index)
+        app = self.apps.setdefault(index, {"taxonomy": None, "label": None,
+                                           "selections": []})
         if taxonomy and app["taxonomy"] is None:
             app["taxonomy"] = taxonomy
         if app["label"] is None and isinstance(obj.get("name"), str):
             app["label"] = obj["name"]
         return app["taxonomy"] or "SI", app["selections"]
 
-    def _decode(self, obj: dict, tax_key: str, category: str, item: str,
-                prefix: tuple[int, ...], tokens, sink: list[Selection]):
-        if tokens is None:
-            return
+    def _decode(self, obj: dict, tax_key: str, slot: _Slot, tokens,
+                sink: list[Selection]):
         if isinstance(tokens, str):
             tokens = [tokens]
         if not isinstance(tokens, list):
@@ -806,101 +763,42 @@ class _Inverter:
             if isinstance(token, str):
                 try:
                     code_text = self.catalog.vocabulary.code_for(
-                        tax_key, category, item, prefix, token)
-                except Exception:
-                    code_text = None
+                        tax_key, slot.category, slot.item, slot.prefix, token)
+                except (InvalidCodeError, UnknownPathError,
+                        InvalidRecordError):
+                    pass  # an unusable taxonomy marker: residue below
             if code_text is None:
                 self.residue.append(ResidueEntry(
                     str(obj.get("id")), str(obj.get("type")),
-                    f"value {token!r} has no {tax_key}.{category}.{item} "
-                    "equivalent"))
+                    f"value {token!r} has no {tax_key}.{slot.category}."
+                    f"{slot.item} equivalent"))
                 continue
             sink.append(Selection(parse_code(code_text)))
 
     def consume(self, obj: dict) -> bool:
         """True when the object contributed to the record."""
-        obj_type = obj.get("type")
+        obj_type = obj["type"]
+        if obj_type == "campaign":
+            return True  # emission option marker; carries no selections
         payload = _taxidma_extension(obj)
-        handler = getattr(self, f"_take_{str(obj_type).replace('-', '_')}",
-                          None)
-        if payload is None and obj_type not in ("campaign",):
+        if payload is None or obj_type not in _EXTENSION_PROPS:
+            # Without our extension, or bearing it on a type we do not
+            # map: residue.
             return False
-        if handler is None:
-            # Bears our extension but maps to nothing we know: residue.
-            return False
-        handler(obj, payload or {})
+        if obj_type in NEW_SCO_TYPES:
+            return True  # derived from attack_type; nothing to recover
+        # Every other type at least marks its scope (an
+        # identity-management-category object carries nothing else).
+        tax_key, sink = self._target(obj)
+        if obj_type == "vulnerability":
+            self._take_vulnerability(obj, payload, sink)
+        for slot in _SLOTS_OF.get(obj_type, ()):
+            self._decode(obj, tax_key, slot, _slot_tokens(obj, payload, slot),
+                         sink)
         return True
 
-    # Individual object handlers ------------------------------------------
-
-    def _take_threat_actor(self, obj: dict, payload: dict) -> None:
-        tax_key, sink = self._target(obj)
-        self._decode(obj, tax_key, "A", "T", (2,),
-                     obj.get("threat_actor_types"), sink)
-        motivations = []
-        if isinstance(obj.get("primary_motivation"), str):
-            motivations.append(obj["primary_motivation"])
-        if isinstance(obj.get("secondary_motivations"), list):
-            motivations.extend(obj["secondary_motivations"])
-        self._decode(obj, tax_key, "A", "C", (1,), motivations, sink)
-        resources = []
-        if isinstance(obj.get("resource_level"), str):
-            resources.append(obj["resource_level"])
-        extra = payload.get("additional_resource_levels")
-        if isinstance(extra, list):
-            resources.extend(extra)
-        self._decode(obj, tax_key, "A", "C", (2,), resources, sink)
-        sophistication = []
-        if isinstance(obj.get("sophistication"), str):
-            sophistication.append(obj["sophistication"])
-        extra = payload.get("additional_sophistications")
-        if isinstance(extra, list):
-            sophistication.extend(extra)
-        self._decode(obj, tax_key, "A", "C", (3,), sophistication, sink)
-
-    def _take_intrusion_set(self, obj: dict, payload: dict) -> None:
-        tax_key, sink = self._target(obj)
-        self._decode(obj, tax_key, "A", "C", (4,),
-                     payload.get("capabilities"), sink)
-        self._decode(obj, tax_key, "K", "M", (), payload.get("impact"), sink)
-        self._decode(obj, tax_key, "K", "R", (), payload.get("results"), sink)
-
-    def _take_targeted_organization(self, obj: dict, payload: dict) -> None:
-        tax_key, sink = self._target(obj)
-        area = obj.get("sector", obj.get("domain"))
-        self._decode(obj, tax_key, "T", "S", (), area, sink)
-
-    def _take_identity(self, obj: dict, payload: dict) -> None:
-        tax_key, sink = self._target(obj)
-        self._decode(obj, tax_key, "I", "E", (),
-                     payload.get("completeness"), sink)
-        self._decode(obj, tax_key, "I", "S", (),
-                     payload.get("timeliness"), sink)
-        self._decode(obj, tax_key, "I", "N", (),
-                     payload.get("directness"), sink)
-        self._decode(obj, tax_key, "I", "U", (), payload.get("amount"), sink)
-        self._decode(obj, tax_key, "I", "A", (),
-                     payload.get("authenticity"), sink)
-
-    def _take_attack_pattern(self, obj: dict, payload: dict) -> None:
-        tax_key, sink = self._target(obj)
-        self._decode(obj, tax_key, "K", "T", (),
-                     payload.get("attack_type"), sink)
-        self._decode(obj, tax_key, "K", "B", (),
-                     payload.get("identity_pattern"), sink)
-        phases = obj.get("kill_chain_phases")
-        if isinstance(phases, list):
-            tokens = [p.get("phase_name") for p in phases
-                      if isinstance(p, dict)]
-            self._decode(obj, tax_key, "I", "L", (), tokens, sink)
-
-    def _take_indicator(self, obj: dict, payload: dict) -> None:
-        tax_key, sink = self._target(obj)
-        self._decode(obj, tax_key, "K", "G", (),
-                     payload.get("attack_category"), sink)
-
-    def _take_vulnerability(self, obj: dict, payload: dict) -> None:
-        tax_key, sink = self._target(obj)
+    def _take_vulnerability(self, obj: dict, payload: dict,
+                            sink: list[Selection]) -> None:
         code_text = payload.get("code")
         try:
             code = parse_code(code_text)
@@ -919,26 +817,23 @@ class _Inverter:
                 return
         sink.append(Selection(code, free_text=name, note=note))
 
-    def _take_device(self, obj: dict, payload: dict) -> None:
-        tax_key, sink = self._target(obj)
-        self._decode(obj, tax_key, "T", "L", (), obj.get("level"), sink)
-        self._decode(obj, tax_key, "T", "O", (), obj.get("location"), sink)
-        self._decode(obj, tax_key, "T", "V", (),
-                     obj.get("device_category"), sink)
 
-    def _take_identity_management_category(self, obj: dict,
-                                           payload: dict) -> None:
-        # Marks its application as IMS; carries no selections itself.
-        self._target(obj)
-
-    def _take_social_engineering(self, obj: dict, payload: dict) -> None:
-        pass  # derived from attack_type; nothing to recover
-
-    def _take_osint(self, obj: dict, payload: dict) -> None:
-        pass
-
-    def _take_campaign(self, obj: dict, payload: dict) -> None:
-        pass  # emission option marker; carries no selections
+def _slot_tokens(obj: dict, payload: dict, slot: _Slot):
+    """What ``slot``'s properties hold on ``obj``, as _decode takes it."""
+    if slot.prop == "sector":
+        return obj.get("sector", obj.get("domain"))
+    if slot.prop == "kill_chain_phases":
+        phases = obj.get("kill_chain_phases")
+        if not isinstance(phases, list):
+            return None
+        return [phase.get("phase_name") for phase in phases
+                if isinstance(phase, dict)]
+    value = (payload if slot.nested else obj).get(slot.prop)
+    if slot.overflow is None:
+        return value
+    extra = (payload if slot.overflow_nested else obj).get(slot.overflow)
+    return ([value] if isinstance(value, str) else []) + \
+        (extra if isinstance(extra, list) else [])
 
 
 def from_stix(bundle: dict, catalog: Catalog

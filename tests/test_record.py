@@ -9,10 +9,11 @@ from datetime import datetime, timezone
 import pytest
 
 from taxidma import record as record_module
-from taxidma.codes import format_code
+from taxidma.codes import TaxonomyCode, format_code
 from taxidma.errors import (
     BackgroundNotApplicableError,
     CodeSyntaxError,
+    InvalidCodeError,
     InvalidIdentifierError,
     InvalidRecordError,
     MalformedFileError,
@@ -21,6 +22,7 @@ from taxidma.errors import (
 )
 from taxidma.record import (
     BACKGROUND,
+    Selection,
     add_selection,
     apply_taxonomy,
     new_record,
@@ -322,6 +324,26 @@ def test_overlong_leaf_number_is_a_malformed_file(catalog):
         '"BG.K.R.4"', '"BG.K.R.4' + "0" * 5000 + '"')
     with pytest.raises(MalformedFileError, match="leaf number too long"):
         read_record(text)
+
+
+@pytest.mark.parametrize("number, message", [
+    (10 ** 5000, "leaf number too long"),  # beyond str()'s digit limit
+    (-1, "bad leaf number"),
+], ids=["overlong", "negative"])
+def test_in_memory_code_breaking_the_grammar_is_reported(catalog, number,
+                                                         message):
+    record = build_minimal(catalog)
+    broken = TaxonomyCode("BG", "I", "A", (number,))
+    record.background.selections += [Selection(broken), Selection(broken)]
+    report = validate_record(record, catalog)
+    assert [(v.rule, v.path) for v in report.errors] == [
+        ("invalid-code", "background.selections[1]"),
+        ("invalid-code", "background.selections[2]")]
+    assert all(message in v.message for v in report.errors)
+    with pytest.raises(InvalidCodeError, match=message):
+        format_code(broken)
+    with pytest.raises(InvalidCodeError, match=message):
+        write_record(record)
 
 
 def test_read_record_rejects_bad_timestamp(catalog):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import uuid
 
@@ -339,6 +340,45 @@ def test_deterministic_mode_is_byte_identical():
     assert serialize_bundle(first) == serialize_bundle(second)
 
 
+# sha256 of serialize_bundle(to_stix(...)) in deterministic mode.  Bundles
+# are an interchange format: a refactor of the mapping must not move a byte.
+PINNED_FIXTURE_DIGESTS = {
+    ("canva-2019", False):
+        "60a437e6fbf86e88976c84d3a0d7dc5af770f972b5dfa86b99a7d0c19c7b4851",
+    ("canva-2019", True):
+        "022a941170d511f81a6cc51c2acd995d01537164f336f00d43789a9850583351",
+    ("solarwinds-2020", False):
+        "73f93c220b2b36c7e6766e474b83aca77efdbb7278a813435440227b0dec5163",
+    ("solarwinds-2020", True):
+        "957e0d4ffaf47bef336a22a91758414540b44f69a940ff15bffb94bcac0c6bac",
+    ("tmobile-2021", False):
+        "6e5e11e9caaf1d42eca5c037614380f65f25a592e71e2d832f4ffe719d1446e2",
+    ("tmobile-2021", True):
+        "0ea85d136483e553efd23931182e22f5fc799a61de6923b0989707597b942630",
+}
+# One digest over record_batch(seed=7, count=300), each record emitted
+# without and then with the campaign option.
+PINNED_BATCH_DIGEST = \
+    "902d97fffba5ccdf543c2740f484aed93fd8d1fbe05ad7762f7a5bb1ab38e129"
+
+
+def test_deterministic_bundle_bytes_are_pinned(bundled_catalog):
+    def text(record, campaign):
+        options = EmissionOptions(deterministic_ids=True, campaign=campaign)
+        return serialize_bundle(
+            to_stix(record, bundled_catalog, options)).encode()
+
+    for (record_id, campaign), digest in PINNED_FIXTURE_DIGESTS.items():
+        record = load_fixture_record(record_id)
+        assert hashlib.sha256(text(record, campaign)).hexdigest() == digest, \
+            (record_id, campaign)
+    batch = hashlib.sha256()
+    for record in record_batch(bundled_catalog, seed=7, count=300):
+        for campaign in (False, True):
+            batch.update(text(record, campaign))
+    assert batch.hexdigest() == PINNED_BATCH_DIGEST
+
+
 def test_vocabulary_tables_belong_to_their_catalog():
     import taxidma
     from pathlib import Path
@@ -390,6 +430,66 @@ def test_generated_records_round_trip(bundled_catalog):
         assert scope_groups(mapped_selections(rebuilt, bundled_catalog)) == \
             scope_groups(mapped_selections(record, bundled_catalog)), \
             record.record_id
+
+
+# Enumerated items the STIX mapping has no slot for, as documented in the
+# stix module: "C.I" anywhere it occurs, or "KEY.C.I" for one taxonomy key.
+RECORD_FILE_ONLY_ITEMS = {"K.D", "K.V", "T.T", "T.I", "I.T", "I.P",
+                          "IoT:BG.I.O", "IoT:SI.T.H"}
+
+
+def test_every_mapped_leaf_round_trips_alone(bundled_catalog):
+    catalog = bundled_catalog
+    keys = [taxonomy.code for taxonomy in catalog.taxonomies]
+    keys += [f"{profile.code}:{key}" for profile in catalog.profiles
+             for key in list(keys)]
+    items: dict[str, list] = {}
+    for key in keys:
+        for code in catalog.enumerate_codes(key):
+            items.setdefault(f"{key}.{code.category}.{code.item}",
+                             []).append(code)
+    dropped_items, dropped_codes = set(), set()
+    for location, codes in items.items():
+        mapped_count = 0
+        for code in codes:
+            text = str(code)
+            key = code.taxonomy_key
+            if code.taxonomy == "BG":
+                record = new_record("r-leaf", "one leaf", "",
+                                    background_taxonomy=key)
+                add_selection(record, BACKGROUND, text)
+            else:
+                record = new_record("r-leaf", "one leaf", "")
+                add_selection(record, apply_taxonomy(record, catalog, key, "a"),
+                              text)
+            mapped = mapped_selections(record, catalog)
+            if not mapped:
+                dropped_codes.add(text)
+                continue
+            mapped_count += 1
+            rebuilt, residue = from_stix(
+                to_stix(record, catalog, DETERMINISTIC), catalog)
+            assert residue == [], text
+            assert scope_groups(mapped_selections(rebuilt, catalog)) == \
+                scope_groups(mapped), text
+        if not mapped_count:
+            dropped_items.add(location)
+            dropped_codes -= {str(code) for code in codes}
+
+    def entry(location):
+        """The RECORD_FILE_ONLY_ITEMS entry naming a location, or None."""
+        for name in (location.split(".", 1)[1], location):
+            if name in RECORD_FILE_ONLY_ITEMS:
+                return name
+        return None
+
+    assert dropped_items == {loc for loc in items if entry(loc)}
+    assert {entry(loc) for loc in dropped_items} == RECORD_FILE_ONLY_ITEMS
+    # Inside mapped items, only the attacker amount subtree (A.T.1) of the
+    # background stays behind: attacker type maps its profile subtree only.
+    assert dropped_codes == {
+        str(code) for key in keys if key.endswith("BG")
+        for code in catalog.enumerate_codes(f"{key}.A.T.1")}
 
 
 def test_serialized_bundles_parse_back(bundled_catalog):
@@ -548,6 +648,32 @@ def test_parser_bug_in_taxonomy_marker_propagates(bundled_catalog,
     _parse_code_failing_on(monkeypatch, "UE")  # the application's taxonomy
     with pytest.raises(RuntimeError, match="bug while parsing"):
         from_stix(bundle, bundled_catalog)
+
+
+def test_vocabulary_bug_while_decoding_propagates(bundled_catalog,
+                                                  monkeypatch):
+    record = load_fixture_record("canva-2019")
+    bundle = to_stix(record, bundled_catalog, DETERMINISTIC)
+
+    def code_for(self, *args):
+        raise RuntimeError("bug in the vocabulary")
+
+    monkeypatch.setattr(stix.VocabularyTables, "code_for", code_for)
+    with pytest.raises(RuntimeError, match="bug in the vocabulary"):
+        from_stix(bundle, bundled_catalog)
+
+
+@pytest.mark.parametrize("marker", ["XYZ", "a:b:c", "IOT:SI"])
+def test_object_with_a_bad_taxonomy_marker_is_residue(bundled_catalog,
+                                                      marker):
+    record = load_fixture_record("canva-2019")
+    bundle = to_stix(record, bundled_catalog, DETERMINISTIC)
+    identity = only(bundle, "identity", application_index=0)
+    taxidma_ext(identity)["taxonomy"] = marker
+    _, residue = from_stix(bundle, bundled_catalog)
+    reasons = [entry.reason for entry in residue
+               if entry.object_id == identity["id"]]
+    assert reasons and all(f"no {marker}.I." in reason for reason in reasons)
 
 
 # -- bundle validation --------------------------------------------------------
