@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import os
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -34,6 +33,7 @@ from .errors import (
 from .record import (
     RECORD_FILE_SUFFIX,
     AttackRecord,
+    _indented_json,
     read_record,
     write_record,
 )
@@ -250,7 +250,7 @@ def render_json(report: StatsReport) -> str:
              "share": _share_text(entry.share)}
             for entry in report.entries],
     }
-    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+    return _indented_json(payload) + "\n"
 
 
 def render_table(report: StatsReport) -> str:

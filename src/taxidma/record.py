@@ -12,6 +12,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from json.encoder import encode_basestring as _quote
 from typing import Final
 
 from .catalog import Catalog
@@ -203,19 +204,22 @@ def _validate_application(catalog: Catalog, scope: int,
         out.append(RecordViolation("warning", rule, path, message))
 
     taxonomy = application.taxonomy
-    tax_ok = True
-    if taxonomy.depth != 0:
-        err("application-taxonomy", _scope_path(scope),
-            f"{format_code(taxonomy)} is not taxonomy-granularity")
-        tax_ok = False
-    else:
-        try:
+    tax_ok = False
+    renders = True  # a taxonomy code that breaks the grammar has no text
+    try:
+        if taxonomy.depth != 0:
+            err("application-taxonomy", _scope_path(scope),
+                f"{format_code(taxonomy)} is not taxonomy-granularity")
+        else:
             catalog.resolve(taxonomy)
-        except UnknownPathError as exc:
-            err("application-taxonomy", _scope_path(scope), str(exc))
-            tax_ok = False
+            tax_ok = True
+    except UnknownPathError as exc:
+        err("application-taxonomy", _scope_path(scope), str(exc))
+    except InvalidCodeError as exc:
+        err("invalid-code", _scope_path(scope), str(exc))
+        renders = False
     if scope == BACKGROUND:
-        if taxonomy.taxonomy != "BG":
+        if taxonomy.taxonomy != "BG" and renders:
             err("background-taxonomy", _scope_path(scope),
                 f"background must use BG, got {format_code(taxonomy)}")
     elif taxonomy.taxonomy == "BG":
@@ -276,7 +280,7 @@ def _validate_application(catalog: Catalog, scope: int,
         elif not any(s.code.category == "K" for s in application.selections):
             warn("background-missing-attack", _scope_path(scope),
                  "the background does not describe the attack (K)")
-    elif not application.selections:
+    elif not application.selections and renders:
         warn("empty-application", _scope_path(scope),
              f"{format_code(taxonomy)} application has no selections")
 
@@ -357,11 +361,77 @@ def record_to_dict(record: AttackRecord) -> dict:
     }
 
 
+class _NotPlainJSON(Exception):
+    """A value :func:`_indented_json` leaves to ``json.dumps``."""
+
+
+_INFINITIES = (float("inf"), float("-inf"))
+
+
+def _indented_json(value) -> str:
+    """Exactly ``json.dumps(value, indent=2, ensure_ascii=False)``.
+
+    With ``indent`` set, CPython's ``json`` falls back to its pure-Python
+    encoder; this walker builds the same text with less work per value.
+    It handles values of type ``dict``, ``list``, ``str``, ``int``, finite
+    ``float``, ``True``, ``False`` and ``None``, checked by exact type.
+    Anything else (a subclass, a tuple, NaN or an infinity, an
+    unserialisable object, a non-string key, a cycle) is handed to
+    ``json.dumps`` itself, so such input gets the same text or the same
+    exception.
+    """
+    try:
+        return _json_text(value, "\n")
+    except (_NotPlainJSON, TypeError, RecursionError):
+        return json.dumps(value, indent=2, ensure_ascii=False)
+
+
+def _json_text(value, newline: str) -> str:
+    # ``newline`` is the line break plus the indent of ``value``'s own line.
+    # Strings, by far the most common values, are quoted in the loops
+    # without a call of their own; a non-string key makes ``_quote`` raise
+    # ``TypeError``.
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        parts = []
+        for key, item in value.items():
+            parts.append(f"{_quote(key)}: {_quote(item)}"
+                         if type(item) is str else
+                         f"{_quote(key)}: {_json_text(item, inner)}")
+        return f"{{{inner}{(',' + inner).join(parts)}{newline}}}"
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        parts = []
+        for item in value:
+            parts.append(_quote(item) if type(item) is str
+                         else _json_text(item, inner))
+        return f"[{inner}{(',' + inner).join(parts)}{newline}]"
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        # json's own call: past the digit limit it raises the same
+        # ValueError json.dumps would.
+        return int.__repr__(value)
+    if kind is float and value == value and value not in _INFINITIES:
+        return float.__repr__(value)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value is None:
+        return "null"
+    raise _NotPlainJSON
+
+
 def write_record(record: AttackRecord) -> str:
     """Serialize to the record file format (stable key order, trailing
     newline)."""
-    return json.dumps(record_to_dict(record), indent=2, ensure_ascii=False) \
-        + "\n"
+    return _indented_json(record_to_dict(record)) + "\n"
 
 
 def _parse_created(value, where: str) -> datetime:
@@ -377,16 +447,28 @@ def _parse_created(value, where: str) -> datetime:
     return stamp.astimezone(timezone.utc)
 
 
-def _parse_file_code(text, where: str) -> TaxonomyCode:
+def _code_location(where: str, index: int | None) -> str:
+    if index is None:
+        return f"{where}.taxonomy"
+    return f"{where}.selections[{index}].code"
+
+
+def _parse_file_code(text, where: str, index: int | None) -> TaxonomyCode:
+    """The code of application ``where``: its taxonomy when ``index`` is
+    None, else selection ``index``.  The location in error messages is only
+    built when one is raised."""
     if not isinstance(text, str):
-        raise MalformedFileError(f"{where}: code must be a string")
+        raise MalformedFileError(
+            f"{_code_location(where, index)}: code must be a string")
     try:
         code = parse_code(text)
     except CodeSyntaxError as exc:
-        raise MalformedFileError(f"{where}: {exc}") from exc
+        raise MalformedFileError(
+            f"{_code_location(where, index)}: {exc}") from exc
     if code.taxonomy not in KNOWN_TAXONOMIES:
         raise MalformedFileError(
-            f"{where}: unknown taxonomy token {code.taxonomy!r} in {text!r}")
+            f"{_code_location(where, index)}: unknown taxonomy token "
+            f"{code.taxonomy!r} in {text!r}")
     return code
 
 
@@ -396,7 +478,7 @@ def _application_from_dict(raw, where: str) -> TaxonomyApplication:
     for key in ("taxonomy", "selections"):
         if key not in raw:
             raise MalformedFileError(f"{where}: missing field {key!r}")
-    taxonomy = _parse_file_code(raw["taxonomy"], f"{where}.taxonomy")
+    taxonomy = _parse_file_code(raw["taxonomy"], where, None)
     label = raw.get("instance_label", "")
     if not isinstance(label, str):
         raise MalformedFileError(f"{where}.instance_label: must be a string")
@@ -404,17 +486,18 @@ def _application_from_dict(raw, where: str) -> TaxonomyApplication:
         raise MalformedFileError(f"{where}.selections: must be a list")
     selections = []
     for i, raw_sel in enumerate(raw["selections"]):
-        swhere = f"{where}.selections[{i}]"
         if not isinstance(raw_sel, dict) or "code" not in raw_sel:
-            raise MalformedFileError(f"{swhere}: missing code")
+            raise MalformedFileError(f"{where}.selections[{i}]: missing code")
         free_text = raw_sel.get("free_text")
         note = raw_sel.get("note")
-        for name, val in (("free_text", free_text), ("note", note)):
-            if val is not None and not isinstance(val, str):
-                raise MalformedFileError(f"{swhere}.{name}: must be a string")
+        if free_text is not None and not isinstance(free_text, str):
+            raise MalformedFileError(
+                f"{where}.selections[{i}].free_text: must be a string")
+        if note is not None and not isinstance(note, str):
+            raise MalformedFileError(
+                f"{where}.selections[{i}].note: must be a string")
         selections.append(Selection(
-            _parse_file_code(raw_sel["code"], f"{swhere}.code"),
-            free_text, note))
+            _parse_file_code(raw_sel["code"], where, i), free_text, note))
     return TaxonomyApplication(taxonomy, label, selections)
 
 

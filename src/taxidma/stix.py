@@ -20,11 +20,11 @@ subtree.
 """
 from __future__ import annotations
 
-import json
 import re
 import uuid
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from hashlib import sha1
 
 from .catalog import Catalog, Leaf
 from .codes import TaxonomyCode, format_code, parse_code
@@ -40,11 +40,13 @@ from .record import (
     AttackRecord,
     Selection,
     TaxonomyApplication,
+    _indented_json,
     validate_record,
 )
 
 # Fixed project namespace: uuid5(NAMESPACE_DNS, "taxidma.dev").
 TAXIDMA_NAMESPACE = uuid.UUID("40a0c143-a316-5052-b363-2cdd1c501205")
+_NAMESPACE_BYTES = TAXIDMA_NAMESPACE.bytes
 EXTENSION_NAME = "taxidma v2"
 # uuid5(TAXIDMA_NAMESPACE, EXTENSION_NAME)
 EXTENSION_DEFINITION_ID = \
@@ -468,12 +470,22 @@ class _IdMint:
 
     def __call__(self, object_type: str, tag: str, ordinal: int = 0) -> str:
         if self.deterministic:
-            value = uuid.uuid5(
-                TAXIDMA_NAMESPACE,
+            value = _uuid5_text(
                 f"{self.record_id}|{object_type}|{tag}|{ordinal}")
         else:
             value = uuid.uuid4()
         return f"{object_type}--{value}"
+
+
+def _uuid5_text(name: str) -> str:
+    """``str(uuid.uuid5(TAXIDMA_NAMESPACE, name))`` (RFC 4122 section 4.3),
+    without building a ``uuid.UUID``."""
+    digest = bytearray(sha1(_NAMESPACE_BYTES + name.encode("utf-8"),
+                            usedforsecurity=False).digest()[:16])
+    digest[6] = digest[6] & 0x0F | 0x50  # version 5
+    digest[8] = digest[8] & 0x3F | 0x80  # RFC 4122 variant
+    text = digest.hex()
+    return f"{text[:8]}-{text[8:12]}-{text[12:16]}-{text[16:20]}-{text[20:]}"
 
 
 def _base_object(object_type: str, object_id: str, stamp: str,
@@ -680,7 +692,7 @@ def to_stix(record: AttackRecord, catalog: Catalog,
 
 def serialize_bundle(bundle: dict) -> str:
     """Canonical text form (stable key order, two-space indent)."""
-    return json.dumps(bundle, indent=2, ensure_ascii=False) + "\n"
+    return _indented_json(bundle) + "\n"
 
 
 # -- inversion ----------------------------------------------------------------
@@ -892,8 +904,9 @@ def from_stix(bundle: dict, catalog: Catalog
                 obj["id"], obj_type, "no taxonomy content"))
 
     for rel in relationships:
-        if rel.get("source_ref") in consumed_ids and \
-                rel.get("target_ref") in consumed_ids:
+        source, target = rel.get("source_ref"), rel.get("target_ref")
+        if isinstance(source, str) and source in consumed_ids and \
+                isinstance(target, str) and target in consumed_ids:
             continue
         inverter.residue.append(ResidueEntry(
             rel["id"], "relationship",
@@ -1065,9 +1078,13 @@ def validate_bundle(bundle) -> list[BundleViolation]:
         label = str(obj.get("id") or f"objects[{position}]")
         for end in ("source_ref", "target_ref"):
             ref = obj.get(end)
-            if isinstance(ref, str) and ref not in ids:
+            if isinstance(ref, str):
+                if ref not in ids:
+                    flag("relationship-refs", label,
+                         f"{end} {ref!r} does not resolve in this bundle")
+            elif end in obj:
                 flag("relationship-refs", label,
-                     f"{end} {ref!r} does not resolve in this bundle")
+                     f"{end} {ref!r} is not a string")
 
     if uses_extension and EXTENSION_DEFINITION_ID not in ids:
         flag("extension-definition-present", EXTENSION_DEFINITION_ID,

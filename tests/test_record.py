@@ -1,12 +1,17 @@
 """Record construction, validation, naming, and file round-trip tests."""
 from __future__ import annotations
 
+import ast
+import enum
 import json
 import random
 from collections import Counter
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taxidma import record as record_module
 from taxidma.codes import TaxonomyCode, format_code
@@ -23,6 +28,7 @@ from taxidma.errors import (
 from taxidma.record import (
     BACKGROUND,
     Selection,
+    TaxonomyApplication,
     add_selection,
     apply_taxonomy,
     new_record,
@@ -346,6 +352,69 @@ def test_in_memory_code_breaking_the_grammar_is_reported(catalog, number,
         write_record(record)
 
 
+@pytest.mark.parametrize("scope, taxonomy, message", [
+    (BACKGROUND, TaxonomyCode("bg"), "bad taxonomy token 'bg'"),
+    (BACKGROUND, TaxonomyCode("BG", profile="iot"), "unknown profile 'iot'"),
+    (0, TaxonomyCode("si"), "bad taxonomy token 'si'"),
+    (0, TaxonomyCode("SI", "k"), "bad category 'k'"),
+], ids=["background", "background-profile", "application", "deeper"])
+def test_application_taxonomy_breaking_the_grammar_is_reported(
+        catalog, scope, taxonomy, message):
+    record = build_minimal(catalog)
+    if scope == BACKGROUND:
+        record.background.taxonomy = taxonomy
+        path = "background"
+    else:
+        record.applications.append(TaxonomyApplication(taxonomy, "", []))
+        path = f"applications[{scope}]"
+    report = validate_record(record, catalog)
+    assert [(v.rule, v.path, v.message) for v in report.violations] == [
+        ("invalid-code", path, message)]
+    with pytest.raises(InvalidCodeError, match=message):
+        write_record(record)
+
+
+def _malformed_message(doc) -> str:
+    with pytest.raises(MalformedFileError) as excinfo:
+        read_record(json.dumps(doc))
+    return str(excinfo.value)
+
+
+def test_malformed_file_messages_name_the_location(catalog):
+    doc = json.loads(write_record(build_minimal(catalog)))
+    doc["applications"] = [
+        {"taxonomy": "SI", "instance_label": "", "selections": []}]
+
+    def broken(scope, change):
+        copy = json.loads(json.dumps(doc))
+        change(copy["background"] if scope is None
+               else copy["applications"][scope])
+        return _malformed_message(copy)
+
+    def select(raw_selection):
+        return lambda app: app["selections"].append(raw_selection)
+
+    assert broken(None, lambda app: app.update(taxonomy=5)) == \
+        "background.taxonomy: code must be a string"
+    assert broken(0, lambda app: app.update(taxonomy="SI..K")) == \
+        "applications[0].taxonomy: expected category letter (offset 3)"
+    assert broken(0, select({"note": "no code"})) == \
+        "applications[0].selections[0]: missing code"
+    assert broken(None, lambda app: app["selections"].__setitem__(0, [])) \
+        == "background.selections[0]: missing code"
+    assert broken(0, select({"code": "SI.K.G.1", "free_text": 1})) == \
+        "applications[0].selections[0].free_text: must be a string"
+    assert broken(None, lambda app: app["selections"][0].update(note=[])) \
+        == "background.selections[0].note: must be a string"
+    assert broken(0, select({"code": None})) == \
+        "applications[0].selections[0].code: code must be a string"
+    assert broken(None, select({"code": "BG..K"})) == \
+        "background.selections[1].code: expected category letter (offset 3)"
+    assert broken(0, select({"code": "XX.K.R.4"})) == \
+        "applications[0].selections[0].code: unknown taxonomy token 'XX' " \
+        "in 'XX.K.R.4'"
+
+
 def test_read_record_rejects_bad_timestamp(catalog):
     record = build_minimal(catalog)
     text = write_record(record).replace("2024-06-01T00:00:00Z", "yesterday")
@@ -373,3 +442,114 @@ def test_generated_records_validate_and_round_trip(catalog):
         assert len(resolve_names(record, catalog)) == \
             len(record.background.selections) + \
             sum(len(a.selections) for a in record.applications)
+
+
+# -- the indented JSON writer -------------------------------------------------
+
+_indented_json = record_module._indented_json
+
+
+def _reference(value) -> str:
+    return json.dumps(value, indent=2, ensure_ascii=False)
+
+
+def _outcome(write, value):
+    """The text ``write`` produces, or its exception type and message."""
+    try:
+        return write(value)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+_json_strings = st.text(
+    st.sampled_from('aZ0 "\\/\n\r\t\b\f\x00\x1f\x7f\x80é中\u2028𝄞\ud800'),
+    max_size=6) | st.text(max_size=6)
+_json_scalars = (
+    st.none() | st.booleans() | _json_strings
+    | st.integers(-2 ** 70, 2 ** 70)
+    | st.sampled_from([10 ** 100, -10 ** 100, 0.0, -0.0, 1e300, -1e-300,
+                       5e-324, 1.5, float("nan"), float("inf"),
+                       float("-inf")])
+    | st.floats())
+_json_trees = st.recursive(
+    _json_scalars,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(_json_strings, children, max_size=4),
+    max_leaves=24)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_json_trees)
+def test_indented_json_equals_json_dumps(value):
+    assert _indented_json(value) == _reference(value)
+
+
+class _Text(str):
+    pass
+
+
+class _Number(enum.IntEnum):
+    ONE = 1
+
+
+def _cyclic_dict():
+    value = {"a": []}
+    value["a"].append(value)
+    return value
+
+
+def _cyclic_list():
+    value = []
+    value.append(value)
+    return value
+
+
+@pytest.mark.parametrize("value", [
+    {1: "a", 2.5: "b", True: [], None: {}},
+    {(1, 2): "tuple key"},
+    ("a", [1, (2.5, None)], ()),
+    {"e": _Number.ONE, "t": _Text("sub"), _Text("key"): [_Text("x")]},
+    {"big": 10 ** 5000},
+    {"nan": float("nan"), "inf": [float("inf"), float("-inf")]},
+    {"set": {1}},
+    [object()],
+    _cyclic_dict(),
+    _cyclic_list(),
+], ids=["non-str-keys", "tuple-key", "tuples", "subclasses", "huge-int",
+        "nan", "set", "object", "cyclic-dict", "cyclic-list"])
+def test_indented_json_matches_json_dumps_outside_plain_json(value):
+    assert _outcome(_indented_json, value) == _outcome(_reference, value)
+
+
+def test_indented_json_on_nesting_beyond_the_recursion_limit():
+    value: list = []
+    for _ in range(5000):
+        value = [value]
+    with pytest.raises(RecursionError):
+        _reference(value)
+    with pytest.raises(RecursionError):
+        _indented_json(value)
+
+
+def test_only_the_writer_calls_the_indenting_encoder():
+    """``json.dumps`` with ``indent`` runs CPython's pure-Python encoder;
+    every indented dump in the package goes through ``_indented_json``,
+    whose fallback is the one call allowed."""
+    calls = []
+    for path in sorted(Path(record_module.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        functions = [node for node in ast.walk(tree)
+                     if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or \
+                    not any(k.arg == "indent" for k in node.keywords):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else \
+                getattr(func, "id", None)
+            if name != "dumps":
+                continue
+            owners = [f.name for f in functions
+                      if f.lineno <= node.lineno <= f.end_lineno]
+            calls.append((path.name, owners))
+    assert calls == [("record.py", ["_indented_json"])]

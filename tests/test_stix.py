@@ -4,6 +4,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import random
 import uuid
 
 import pytest
@@ -379,6 +380,17 @@ def test_deterministic_bundle_bytes_are_pinned(bundled_catalog):
     assert batch.hexdigest() == PINNED_BATCH_DIGEST
 
 
+def test_deterministic_ids_equal_uuid5():
+    rng = random.Random(5)
+    alphabet = "abcXYZ019|-_. éü✓中𝄞"
+    names = [EXTENSION_NAME, "", "é", "𝄞" * 40] + [
+        "".join(rng.choice(alphabet) for _ in range(rng.randrange(60)))
+        for _ in range(3000)]
+    for name in names:
+        assert stix._uuid5_text(name) == \
+            str(uuid.uuid5(TAXIDMA_NAMESPACE, name)), name
+
+
 def test_vocabulary_tables_belong_to_their_catalog():
     import taxidma
     from pathlib import Path
@@ -713,6 +725,23 @@ def test_dangling_relationship_reference_is_flagged():
                         if o["type"] == "relationship")
     relationship["target_ref"] = f"identity--{uuid.uuid4()}"
     assert "relationship-refs" in rules_of(validate_bundle(bundle))
+
+
+@pytest.mark.parametrize("end", ["source_ref", "target_ref"])
+@pytest.mark.parametrize("ref", [["x"], {"id": "x"}], ids=["list", "dict"])
+def test_unhashable_relationship_reference(bundled_catalog, end, ref):
+    bundle = clean_bundle()
+    relationship = next(o for o in bundle["objects"]
+                        if o["type"] == "relationship")
+    relationship[end] = ref
+    violations = [v for v in validate_bundle(bundle)
+                  if v.rule == "relationship-refs"]
+    assert [(v.object_id, v.message) for v in violations] == [
+        (relationship["id"], f"{end} {ref!r} is not a string")]
+    _, residue = from_stix(bundle, bundled_catalog)
+    assert [(e.object_id, e.reason) for e in residue] == [
+        (relationship["id"],
+         "references an object that is not part of the record")]
 
 
 def test_taxidma_property_outside_the_extension_is_flagged():
