@@ -12,15 +12,24 @@ A catalog document is JSON with this shape::
 
 Loading is permissive about tree content (verification is a separate pass)
 but strict about structure, duplicate codes, and profile references.
+
+Verification runs named rules over a loaded catalog.  Most content rules
+pin a fixed leaf set (attack categories, lifecycle stages, IoT domains,
+SSI levels, ...); those are rows of one table, ``_CONTENT_TABLE``, all
+checked by ``_check_leaf_set``.  A row's target is a base item path
+(``BG.I.A``), a profile override path (``IoT:SI.K.G``, read from the
+override itself) or an item display name (``Lifecycle``, every item so
+named).  Rules of other shapes (subset checks, sub-leaf scales, category
+presence) stay functions.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from importlib import resources
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .codes import TaxonomyCode, format_code, is_leaf_number, parse_code
 from .errors import (
@@ -321,14 +330,6 @@ class Catalog:
 
     # -- enumeration -------------------------------------------------------
 
-    def _walk_item(self, base: TaxonomyCode, item: Item) -> Iterator[TaxonomyCode]:
-        def walk(code: TaxonomyCode, leaves: tuple[Leaf, ...]):
-            for leaf in leaves:
-                deeper = code.with_leaf(leaf.number)
-                yield deeper
-                yield from walk(deeper, leaf.children)
-        yield from walk(base, item.leaves)
-
     def enumerate_codes(self, prefix: TaxonomyCode | str | None = None
                         ) -> Iterator[TaxonomyCode]:
         """Yield every leaf-granularity code, depth first.
@@ -361,18 +362,19 @@ class Catalog:
                     TaxonomyCode(parsed.taxonomy, parsed.category, itm.code,
                                  profile=parsed.profile))
             return
-        if not chain:
-            yield from self._walk_item(parsed, item)
-            return
-        yield parsed
-        leaf = chain[-1]
+        if chain:
+            yield parsed
+        yield from _leaf_codes(parsed, chain[-1].children if chain
+                               else item.leaves)
 
-        def walk(code: TaxonomyCode, leaves: tuple[Leaf, ...]):
-            for sub in leaves:
-                deeper = code.with_leaf(sub.number)
-                yield deeper
-                yield from walk(deeper, sub.children)
-        yield from walk(parsed, leaf.children)
+
+def _leaf_codes(code: TaxonomyCode, leaves: tuple[Leaf, ...]
+                ) -> Iterator[TaxonomyCode]:
+    """Yield the code of every leaf under ``code``, depth first."""
+    for leaf in leaves:
+        deeper = code.with_leaf(leaf.number)
+        yield deeper
+        yield from _leaf_codes(deeper, leaf.children)
 
 
 # -- loading ----------------------------------------------------------------
@@ -389,28 +391,37 @@ def _require(mapping, key, expected, where):
     return value
 
 
+def _optional_list(mapping, key, where) -> list:
+    value = mapping.get(key, [])
+    if not isinstance(value, list):
+        raise MalformedDocumentError(f"{where}.{key}: wrong type")
+    return value
+
+
+def _claim(positions: dict, key, where: str, code: str) -> None:
+    """Record ``key`` as declared at ``where``; a second declaration of it
+    raises :class:`DuplicateCodeError` naming ``code`` and both places."""
+    if key in positions:
+        raise DuplicateCodeError(code, positions[key], where)
+    positions[key] = where
+
+
 def _parse_leaf(raw, where) -> Leaf:
     number = _require(raw, "n", int, where)
     if isinstance(number, bool) or number < 0:
         raise MalformedDocumentError(f"{where}.n: must be a non-negative integer")
     name = _require(raw, "name", str, where)
-    children_raw = raw.get("children", [])
-    if not isinstance(children_raw, list):
-        raise MalformedDocumentError(f"{where}.children: wrong type")
     children = tuple(_parse_leaf(child, f"{where}.children[{i}]")
-                     for i, child in enumerate(children_raw))
+                     for i, child in enumerate(
+                         _optional_list(raw, "children", where)))
     _check_sibling_numbers(children, f"{where}.children")
     return Leaf(number, name, children)
 
 
 def _check_sibling_numbers(leaves: tuple[Leaf, ...], where: str) -> None:
-    seen: dict[int, int] = {}
+    seen: dict[int, str] = {}
     for pos, leaf in enumerate(leaves):
-        if leaf.number in seen:
-            raise DuplicateCodeError(
-                f"leaf number {leaf.number}",
-                f"{where}[{seen[leaf.number]}]", f"{where}[{pos}]")
-        seen[leaf.number] = pos
+        _claim(seen, leaf.number, f"{where}[{pos}]", f"leaf number {leaf.number}")
 
 
 def _parse_item(raw, where) -> Item:
@@ -419,11 +430,8 @@ def _parse_item(raw, where) -> Item:
     kind = raw.get("kind", "enumerated")
     if kind not in ITEM_KINDS:
         raise MalformedDocumentError(f"{where}.kind: unknown kind {kind!r}")
-    leaves_raw = raw.get("leaves", [])
-    if not isinstance(leaves_raw, list):
-        raise MalformedDocumentError(f"{where}.leaves: wrong type")
     leaves = tuple(_parse_leaf(leaf, f"{where}.leaves[{i}]")
-                   for i, leaf in enumerate(leaves_raw))
+                   for i, leaf in enumerate(_optional_list(raw, "leaves", where)))
     _check_sibling_numbers(leaves, f"{where}.leaves")
     return Item(code, name, kind, leaves)
 
@@ -440,64 +448,52 @@ def load_catalog(source: bytes | str) -> Catalog:
     checksum = hashlib.sha256(data).hexdigest()
     try:
         doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise MalformedDocumentError(f"not a JSON document: {exc}") from exc
     if not isinstance(doc, dict):
         raise MalformedDocumentError("top level: expected an object")
 
     version = _require(doc, "version", str, "document")
     taxonomies_raw = _require(doc, "taxonomies", list, "document")
-    profiles_raw = doc.get("profiles", [])
-    if not isinstance(profiles_raw, list):
-        raise MalformedDocumentError("document.profiles: wrong type")
+    profiles_raw = _optional_list(doc, "profiles", "document")
 
     taxonomies: list[Taxonomy] = []
-    tax_positions: dict[str, str] = {}
+    # Taxonomy and profile codes share one namespace.
+    code_positions: dict[str, str] = {}
     for ti, raw_tax in enumerate(taxonomies_raw):
         where = f"taxonomies[{ti}]"
         code = _require(raw_tax, "code", str, where)
         name = _require(raw_tax, "name", str, where)
-        if code in tax_positions:
-            raise DuplicateCodeError(code, tax_positions[code], where)
-        tax_positions[code] = where
+        _claim(code_positions, code, where, code)
         categories: list[Category] = []
         cat_positions: dict[str, str] = {}
         for ci, raw_cat in enumerate(_require(raw_tax, "categories", list, where)):
             cwhere = f"{where}.categories[{ci}]"
             ccode = _require(raw_cat, "code", str, cwhere)
             cname = _require(raw_cat, "name", str, cwhere)
-            if ccode in cat_positions:
-                raise DuplicateCodeError(f"{code}.{ccode}",
-                                         cat_positions[ccode], cwhere)
-            cat_positions[ccode] = cwhere
+            _claim(cat_positions, ccode, cwhere, f"{code}.{ccode}")
             items: list[Item] = []
             item_positions: dict[str, str] = {}
             for ii, raw_item in enumerate(_require(raw_cat, "items", list, cwhere)):
                 iwhere = f"{cwhere}.items[{ii}]"
                 parsed = _parse_item(raw_item, iwhere)
-                if parsed.code in item_positions:
-                    raise DuplicateCodeError(f"{code}.{ccode}.{parsed.code}",
-                                             item_positions[parsed.code], iwhere)
-                item_positions[parsed.code] = iwhere
+                _claim(item_positions, parsed.code, iwhere,
+                       f"{code}.{ccode}.{parsed.code}")
                 items.append(parsed)
             categories.append(Category(ccode, cname, tuple(items)))
         taxonomies.append(Taxonomy(code, name, tuple(categories)))
 
     tax_index = {t.code: t for t in taxonomies}
     profiles: list[Profile] = []
-    profile_positions: dict[str, str] = {}
     for pi, raw_profile in enumerate(profiles_raw):
         where = f"profiles[{pi}]"
         pcode = _require(raw_profile, "code", str, where)
         pname = _require(raw_profile, "name", str, where)
-        if pcode in profile_positions:
-            raise DuplicateCodeError(pcode, profile_positions[pcode], where)
-        if pcode in tax_index:
-            raise DuplicateCodeError(pcode, tax_positions[pcode], where)
-        profile_positions[pcode] = where
+        _claim(code_positions, pcode, where, pcode)
         overrides: list[Override] = []
         seen_targets: dict[tuple[str, str, str], str] = {}
-        for oi, raw_ov in enumerate(raw_profile.get("overrides", [])):
+        for oi, raw_ov in enumerate(
+                _optional_list(raw_profile, "overrides", where)):
             owhere = f"{where}.overrides[{oi}]"
             ov_tax = _require(raw_ov, "taxonomy", str, owhere)
             ov_cat = _require(raw_ov, "category", str, owhere)
@@ -515,11 +511,8 @@ def load_catalog(source: bytes | str) -> Catalog:
                 raise MalformedDocumentError(
                     f"{owhere}: definition code {definition.code!r} does not "
                     f"match item {ov_item!r}")
-            target = (ov_tax, ov_cat, ov_item)
-            if target in seen_targets:
-                raise DuplicateCodeError(f"{pcode}:{ov_tax}.{ov_cat}.{ov_item}",
-                                         seen_targets[target], owhere)
-            seen_targets[target] = owhere
+            _claim(seen_targets, (ov_tax, ov_cat, ov_item), owhere,
+                   f"{pcode}:{ov_tax}.{ov_cat}.{ov_item}")
             overrides.append(Override(ov_tax, ov_cat, ov_item, definition))
         profiles.append(Profile(pcode, pname, tuple(overrides)))
 
@@ -543,11 +536,11 @@ def load_bundled_catalog() -> Catalog:
 
 
 def _walk_all_leaves(item: Item):
-    """Yield (path_string_suffix, leaf, siblings) for every leaf of an item."""
+    """Yield (path_string_suffix, leaf) for every leaf of an item."""
     def walk(prefix: str, leaves: tuple[Leaf, ...]):
         for leaf in leaves:
             path = f"{prefix}.{leaf.number}"
-            yield path, leaf, leaves
+            yield path, leaf
             yield from walk(path, leaf.children)
     yield from walk("", item.leaves)
 
@@ -564,12 +557,24 @@ def _iter_items(catalog: Catalog):
                    ov.definition)
 
 
-def _find_item(catalog: Catalog, profile: str | None, tax: str, cat: str,
-               code: str) -> Item | None:
-    for item in catalog.effective_items(profile, tax, cat):
-        if item.code == code:
-            return item
-    return None
+def _item_at(catalog: Catalog, path: str) -> Item | None:
+    """The base item at ``TAX.CAT.ITEM``, or the definition of the override
+    at ``PROFILE:TAX.CAT.ITEM`` (never the base item it replaces)."""
+    profile, _, rest = path.rpartition(":")
+    tax, cat, code = rest.split(".")
+    if profile:
+        p = catalog.profile(profile)
+        return next((ov.definition for ov in (p.overrides if p else ())
+                     if (ov.taxonomy, ov.category, ov.item) == (tax, cat, code)),
+                    None)
+    return next((item for item in catalog.effective_items(None, tax, cat)
+                 if item.code == code), None)
+
+
+def _sub_leaf(item: Item | None, number: int) -> Leaf | None:
+    if item is None:
+        return None
+    return next((l for l in item.leaves if l.number == number), None)
 
 
 def _v(rule: str, path: str, message: str) -> CatalogViolation:
@@ -619,7 +624,7 @@ def _rule_fixed_item_codes(catalog: Catalog) -> list[CatalogViolation]:
 def _rule_others_is_zero(catalog: Catalog) -> list[CatalogViolation]:
     out = []
     for path, item in _iter_items(catalog):
-        for suffix, leaf, _siblings in _walk_all_leaves(item):
+        for suffix, leaf in _walk_all_leaves(item):
             where = path + suffix
             if leaf.name == "Others" and leaf.number != 0:
                 out.append(_v("others-is-zero", where,
@@ -634,7 +639,7 @@ def _rule_leaf_numbering(catalog: Catalog) -> list[CatalogViolation]:
     out = []
     for path, item in _iter_items(catalog):
         groups: dict[str, tuple[Leaf, ...]] = {"": item.leaves}
-        for suffix, leaf, _ in _walk_all_leaves(item):
+        for suffix, leaf in _walk_all_leaves(item):
             if leaf.children:
                 groups[suffix] = leaf.children
         for suffix, siblings in groups.items():
@@ -676,38 +681,8 @@ def _rule_item_codes_unique(catalog: Catalog) -> list[CatalogViolation]:
     return out
 
 
-def _exact_leaves(rule: str, path: str, item: Item | None, names: list[str],
-                  others: bool) -> list[CatalogViolation]:
-    """Leaves 1..k must carry exactly ``names`` in order; Others iff asked."""
-    if item is None:
-        return [_v(rule, path, "item missing")]
-    got = [l.name for l in sorted(item.leaves, key=lambda l: l.number)
-           if l.number != 0]
-    out = []
-    if got != names:
-        out.append(_v(rule, path, f"leaves {got} != {names}"))
-    has_others = any(l.number == 0 for l in item.leaves)
-    if has_others != others:
-        state = "missing" if others else "unexpected"
-        out.append(_v(rule, path, f"Others leaf {state}"))
-    return out
-
-
-def _rule_bg_capabilities(catalog: Catalog) -> list[CatalogViolation]:
-    item = _find_item(catalog, None, "BG", "A", "C")
-    return _exact_leaves("bg-capabilities-items", "BG.A.C", item,
-                         ["Motivation", "Resources", "Knowledge", "Time"],
-                         others=False)
-
-
-def _sub_leaf(item: Item | None, number: int) -> Leaf | None:
-    if item is None:
-        return None
-    return next((l for l in item.leaves if l.number == number), None)
-
-
 def _rule_knowledge_scale(catalog: Catalog) -> list[CatalogViolation]:
-    leaf = _sub_leaf(_find_item(catalog, None, "BG", "A", "C"), 3)
+    leaf = _sub_leaf(_item_at(catalog, "BG.A.C"), 3)
     want = ["None", "Minimal", "Intermediate", "Advanced", "Expert",
             "Innovator", "Strategic"]
     if leaf is None:
@@ -719,7 +694,7 @@ def _rule_knowledge_scale(catalog: Catalog) -> list[CatalogViolation]:
 
 
 def _rule_time_scale(catalog: Catalog) -> list[CatalogViolation]:
-    leaf = _sub_leaf(_find_item(catalog, None, "BG", "A", "C"), 4)
+    leaf = _sub_leaf(_item_at(catalog, "BG.A.C"), 4)
     if leaf is None:
         return [_v("time-scale", "BG.A.C.4", "missing")]
     got = [c.name for c in leaf.children]
@@ -728,61 +703,8 @@ def _rule_time_scale(catalog: Catalog) -> list[CatalogViolation]:
     return []
 
 
-def _rule_authenticity(catalog: Catalog) -> list[CatalogViolation]:
-    item = _find_item(catalog, None, "BG", "I", "A")
-    return _exact_leaves("authenticity-leaves", "BG.I.A", item,
-                         ["Impostor", "New Account", "Compromised Account",
-                          "None"], others=True)
-
-
-def _rule_attack_category(catalog: Catalog) -> list[CatalogViolation]:
-    want = ["Identification", "Authentication", "Authorization", "Trust",
-            "Governance", "User Management", "User Repository", "Information"]
-    out = []
-    for tax in ("SI", "IMS"):
-        item = _find_item(catalog, None, tax, "K", "G")
-        out.extend(_exact_leaves("attack-category-leaves", f"{tax}.K.G",
-                                 item, want, others=True))
-    return out
-
-
-def _rule_lifecycle(catalog: Catalog) -> list[CatalogViolation]:
-    want = ["Reconnaissance", "Resource Development", "Initial Access",
-            "Persistence", "Privilege Escalation", "Defense Evasion",
-            "Credential Access", "Discovery", "Lateral Movement",
-            "Collection", "Command and Control"]
-    out = []
-    found = False
-    for path, item in _iter_items(catalog):
-        if item.name != "Lifecycle":
-            continue
-        found = True
-        out.extend(_exact_leaves("lifecycle-stages", path, item, want,
-                                 others=True))
-    if not found:
-        out.append(_v("lifecycle-stages", "*", "no Lifecycle item anywhere"))
-    return out
-
-
-def _rule_ue_pattern(catalog: Catalog) -> list[CatalogViolation]:
-    item = _find_item(catalog, None, "UE", "K", "B")
-    out = _exact_leaves("ue-pattern-tree", "UE.K.B", item,
-                        ["Identity Theft", "Identity Manipulation",
-                         "De-anonymization"], others=True)
-    theft = _sub_leaf(item, 1)
-    if theft is None:
-        out.append(_v("ue-pattern-tree", "UE.K.B.1", "missing"))
-    else:
-        got = [c.name for c in theft.children if c.number != 0]
-        if got != ["New Account Fraud", "Account Takeover"]:
-            out.append(_v("ue-pattern-tree", "UE.K.B.1", f"children {got}"))
-        if not any(c.number == 0 for c in theft.children):
-            out.append(_v("ue-pattern-tree", "UE.K.B.1", "Others missing"))
-    return out
-
-
 def _rule_ue_identity_types(catalog: Catalog) -> list[CatalogViolation]:
-    item = _find_item(catalog, None, "UE", "I", "T")
+    item = _item_at(catalog, "UE.I.T")
     if item is None:
         return [_v("ue-identity-types", "UE.I.T", "item missing")]
     names = {l.name for l in item.leaves}
@@ -807,7 +729,7 @@ def _rule_ue_identity_types(catalog: Catalog) -> list[CatalogViolation]:
 
 
 def _rule_ue_brute_force(catalog: Catalog) -> list[CatalogViolation]:
-    item = _find_item(catalog, None, "UE", "K", "T")
+    item = _item_at(catalog, "UE.K.T")
     active = _sub_leaf(item, 1)
     brute = None
     if active is not None:
@@ -824,130 +746,151 @@ def _rule_ue_brute_force(catalog: Catalog) -> list[CatalogViolation]:
     return []
 
 
-def _rule_amount(catalog: Catalog) -> list[CatalogViolation]:
+# Per-target checks that ride along a leaf-set row, run right after that
+# target's own leaf-set check: (rule, path, item or None) -> violations.
+def _theft_children(rule: str, path: str, item: Item | None):
+    theft = _sub_leaf(item, 1)
+    if theft is None:
+        return [_v(rule, f"{path}.1", "missing")]
     out = []
-    for path, item in _iter_items(catalog):
-        if item.name != "Amount":
-            continue
-        out.extend(_exact_leaves("amount-leaves", path, item,
-                                 ["Single", "Selected", "All"], others=False))
+    got = [c.name for c in theft.children if c.number != 0]
+    if got != ["New Account Fraud", "Account Takeover"]:
+        out.append(_v(rule, f"{path}.1", f"children {got}"))
+    if not any(c.number == 0 for c in theft.children):
+        out.append(_v(rule, f"{path}.1", "Others missing"))
     return out
 
 
-def _rule_timeliness(catalog: Catalog) -> list[CatalogViolation]:
-    out = []
-    for path, item in _iter_items(catalog):
-        if item.name == "Timeliness":
-            out.extend(_exact_leaves("timeliness-leaves", path, item,
-                                     ["Temporary", "Recoverable"],
-                                     others=False))
-    return out
-
-
-def _rule_completeness(catalog: Catalog) -> list[CatalogViolation]:
-    out = []
-    for path, item in _iter_items(catalog):
-        if item.name == "Completeness":
-            out.extend(_exact_leaves("completeness-leaves", path, item,
-                                     ["Full", "Partial"], others=False))
-    return out
-
-
-def _rule_directness(catalog: Catalog) -> list[CatalogViolation]:
-    out = []
-    for path, item in _iter_items(catalog):
-        if item.name == "Directness":
-            out.extend(_exact_leaves("directness-leaves", path, item,
-                                     ["Direct", "Indirect"], others=False))
-    return out
-
-
-def _profile_override(catalog: Catalog, profile: str, tax: str, cat: str,
-                      item_code: str) -> Item | None:
-    p = catalog.profile(profile)
-    if p is None:
-        return None
-    for ov in p.overrides:
-        if (ov.taxonomy, ov.category, ov.item) == (tax, cat, item_code):
-            return ov.definition
-    return None
-
-
-def _rule_iot_target_type(catalog: Catalog) -> list[CatalogViolation]:
-    item = _profile_override(catalog, "IoT", "BG", "T", "T")
-    return _exact_leaves("iot-target-type", "IoT:BG.T.T", item,
-                         ["Consumer", "Commercial", "Industrial"], others=True)
-
-
-def _rule_iot_domain(catalog: Catalog) -> list[CatalogViolation]:
-    item = _profile_override(catalog, "IoT", "BG", "T", "S")
-    out = _exact_leaves("iot-domain", "IoT:BG.T.S", item,
-                        ["Smart Home", "Health Care", "Transportation",
-                         "Industry 4.0"], others=True)
+def _named_domain(rule: str, path: str, item: Item | None):
     if item is not None and item.name != "Domain":
-        out.append(_v("iot-domain", "IoT:BG.T.S",
-                      f"item named {item.name!r}, expected Domain"))
-    return out
+        return [_v(rule, path, f"item named {item.name!r}, expected Domain")]
+    return []
 
 
-def _rule_iot_level(catalog: Catalog) -> list[CatalogViolation]:
-    item = _profile_override(catalog, "IoT", "SI", "T", "L")
-    return _exact_leaves("iot-level", "IoT:SI.T.L", item,
-                         ["Physical", "Logical", "Application"], others=True)
+def _no_user_categories(rule: str, path: str, item: Item | None):
+    names = {l.name for l in item.leaves} if item is not None else set()
+    return [_v(rule, path, f"{gone!r} must not survive the override")
+            for gone in ("User Management", "User Repository") if gone in names]
 
 
-def _rule_iot_characteristics(catalog: Catalog) -> list[CatalogViolation]:
-    item = _profile_override(catalog, "IoT", "SI", "T", "H")
-    return _exact_leaves("iot-characteristics", "IoT:SI.T.H", item,
-                         ["Automation", "Intelligence", "Storage", "Sensing",
-                          "Processing"], others=True)
-
-
-def _rule_iot_attack_category(catalog: Catalog) -> list[CatalogViolation]:
-    item = _profile_override(catalog, "IoT", "SI", "K", "G")
-    out = _exact_leaves("iot-attack-category", "IoT:SI.K.G", item,
-                        ["Identification", "Authentication", "Authorization",
-                         "Trust", "Governance", "Management", "Information"],
-                        others=True)
-    if item is not None:
-        names = {l.name for l in item.leaves}
-        for gone in ("User Management", "User Repository"):
-            if gone in names:
-                out.append(_v("iot-attack-category", "IoT:SI.K.G",
-                              f"{gone!r} must not survive the override"))
-    return out
-
-
-def _rule_ssi_level(catalog: Catalog) -> list[CatalogViolation]:
+def _ssi_sub_levels(rule: str, path: str, item: Item | None):
+    if item is None:
+        return []
     out = []
-    for tax in ("SI", "IMS", "UE"):
-        path = f"SSI:{tax}.T.L"
-        item = _profile_override(catalog, "SSI", tax, "T", "L")
-        out.extend(_exact_leaves("ssi-level", path, item,
-                                 ["Service", "Network", "System", "Wallet",
-                                  "Agent", "User"], others=True))
-        if item is None:
-            continue
-        network = _sub_leaf(item, 2)
-        if network is None or [c.name for c in network.children] != [
-                "Normal", "Decentralized"]:
-            out.append(_v("ssi-level", f"{path}.2", "Network sub-leaves wrong"))
-        system = _sub_leaf(item, 3)
-        if system is None or [c.name for c in system.children] != [
-                "Server", "Client"]:
-            out.append(_v("ssi-level", f"{path}.3", "System sub-leaves wrong"))
+    for number, label, want in ((2, "Network", ["Normal", "Decentralized"]),
+                                (3, "System", ["Server", "Client"])):
+        leaf = _sub_leaf(item, number)
+        if leaf is None or [c.name for c in leaf.children] != want:
+            out.append(_v(rule, f"{path}.{number}",
+                          f"{label} sub-leaves wrong"))
     return out
 
 
-def _rule_ssi_location(catalog: Catalog) -> list[CatalogViolation]:
+class _LeafSet(NamedTuple):
+    """One fixed leaf set: leaves 1..k of every target carry exactly
+    ``names`` in order, and an Others leaf (number 0) exists iff ``others``.
+
+    A target with a dot is a path read by :func:`_item_at`; one without
+    is a display name selecting every item of that name.  ``each`` runs
+    after each target's check; ``absent`` is reported when a display name
+    matches no item at all.
+    """
+
+    targets: tuple[str, ...]
+    names: list[str]
+    others: bool = True
+    each: Callable[[str, str, Item | None],
+                   list[CatalogViolation]] | None = None
+    absent: str | None = None
+
+
+def _check_leaf_set(rule: str, row: _LeafSet,
+                    catalog: Catalog) -> list[CatalogViolation]:
     out = []
-    for tax in ("SI", "IMS", "UE"):
-        item = _profile_override(catalog, "SSI", tax, "T", "O")
-        out.extend(_exact_leaves("ssi-location", f"SSI:{tax}.T.O", item,
-                                 ["Issuer", "Holder", "Verifier", "TTP",
-                                  "Decentralized Storage", "User Device",
-                                  "Transmission"], others=True))
+    for target in row.targets:
+        if "." in target:
+            found = [(target, _item_at(catalog, target))]
+        else:
+            found = [(path, item) for path, item in _iter_items(catalog)
+                     if item.name == target]
+            if not found and row.absent:
+                out.append(_v(rule, "*", row.absent))
+        for path, item in found:
+            if item is None:
+                out.append(_v(rule, path, "item missing"))
+            else:
+                got = [l.name for l in sorted(item.leaves,
+                                              key=lambda l: l.number)
+                       if l.number != 0]
+                if got != row.names:
+                    out.append(_v(rule, path, f"leaves {got} != {row.names}"))
+                if any(l.number == 0 for l in item.leaves) != row.others:
+                    state = "missing" if row.others else "unexpected"
+                    out.append(_v(rule, path, f"Others leaf {state}"))
+            if row.each is not None:
+                out.extend(row.each(rule, path, item))
     return out
+
+
+# Every content rule in report order: a bespoke function, or a row of the
+# fixed leaf-set table that _check_leaf_set checks.
+_CONTENT_TABLE: tuple[tuple[str, RuleFn | _LeafSet], ...] = (
+    ("BG-has-attacker", _rule_bg_has_attacker),
+    ("others-is-zero", _rule_others_is_zero),
+    ("bg-capabilities-items", _LeafSet(
+        ("BG.A.C",), ["Motivation", "Resources", "Knowledge", "Time"],
+        others=False)),
+    ("knowledge-scale", _rule_knowledge_scale),
+    ("time-scale", _rule_time_scale),
+    ("authenticity-leaves", _LeafSet(
+        ("BG.I.A",), ["Impostor", "New Account", "Compromised Account",
+                      "None"])),
+    ("attack-category-leaves", _LeafSet(
+        ("SI.K.G", "IMS.K.G"),
+        ["Identification", "Authentication", "Authorization", "Trust",
+         "Governance", "User Management", "User Repository", "Information"])),
+    ("lifecycle-stages", _LeafSet(
+        ("Lifecycle",),
+        ["Reconnaissance", "Resource Development", "Initial Access",
+         "Persistence", "Privilege Escalation", "Defense Evasion",
+         "Credential Access", "Discovery", "Lateral Movement", "Collection",
+         "Command and Control"], absent="no Lifecycle item anywhere")),
+    ("ue-pattern-tree", _LeafSet(
+        ("UE.K.B",), ["Identity Theft", "Identity Manipulation",
+                      "De-anonymization"], each=_theft_children)),
+    ("ue-identity-types", _rule_ue_identity_types),
+    ("ue-brute-force", _rule_ue_brute_force),
+    ("amount-leaves", _LeafSet(
+        ("Amount",), ["Single", "Selected", "All"], others=False)),
+    ("timeliness-leaves", _LeafSet(
+        ("Timeliness",), ["Temporary", "Recoverable"], others=False)),
+    ("completeness-leaves", _LeafSet(
+        ("Completeness",), ["Full", "Partial"], others=False)),
+    ("directness-leaves", _LeafSet(
+        ("Directness",), ["Direct", "Indirect"], others=False)),
+    ("iot-target-type", _LeafSet(
+        ("IoT:BG.T.T",), ["Consumer", "Commercial", "Industrial"])),
+    ("iot-domain", _LeafSet(
+        ("IoT:BG.T.S",), ["Smart Home", "Health Care", "Transportation",
+                          "Industry 4.0"], each=_named_domain)),
+    ("iot-level", _LeafSet(
+        ("IoT:SI.T.L",), ["Physical", "Logical", "Application"])),
+    ("iot-characteristics", _LeafSet(
+        ("IoT:SI.T.H",), ["Automation", "Intelligence", "Storage", "Sensing",
+                          "Processing"])),
+    ("iot-attack-category", _LeafSet(
+        ("IoT:SI.K.G",), ["Identification", "Authentication", "Authorization",
+                          "Trust", "Governance", "Management", "Information"],
+        each=_no_user_categories)),
+    ("ssi-level", _LeafSet(
+        ("SSI:SI.T.L", "SSI:IMS.T.L", "SSI:UE.T.L"),
+        ["Service", "Network", "System", "Wallet", "Agent", "User"],
+        each=_ssi_sub_levels)),
+    ("ssi-location", _LeafSet(
+        ("SSI:SI.T.O", "SSI:IMS.T.O", "SSI:UE.T.O"),
+        ["Issuer", "Holder", "Verifier", "TTP", "Decentralized Storage",
+         "User Device", "Transmission"])),
+)
 
 
 STRUCTURAL_RULES: dict[str, RuleFn] = {
@@ -960,29 +903,9 @@ STRUCTURAL_RULES: dict[str, RuleFn] = {
 }
 
 CONTENT_RULES: dict[str, RuleFn] = {
-    "BG-has-attacker": _rule_bg_has_attacker,
-    "others-is-zero": _rule_others_is_zero,
-    "bg-capabilities-items": _rule_bg_capabilities,
-    "knowledge-scale": _rule_knowledge_scale,
-    "time-scale": _rule_time_scale,
-    "authenticity-leaves": _rule_authenticity,
-    "attack-category-leaves": _rule_attack_category,
-    "lifecycle-stages": _rule_lifecycle,
-    "ue-pattern-tree": _rule_ue_pattern,
-    "ue-identity-types": _rule_ue_identity_types,
-    "ue-brute-force": _rule_ue_brute_force,
-    "amount-leaves": _rule_amount,
-    "timeliness-leaves": _rule_timeliness,
-    "completeness-leaves": _rule_completeness,
-    "directness-leaves": _rule_directness,
-    "iot-target-type": _rule_iot_target_type,
-    "iot-domain": _rule_iot_domain,
-    "iot-level": _rule_iot_level,
-    "iot-characteristics": _rule_iot_characteristics,
-    "iot-attack-category": _rule_iot_attack_category,
-    "ssi-level": _rule_ssi_level,
-    "ssi-location": _rule_ssi_location,
-}
+    name: partial(_check_leaf_set, name, rule)
+    if isinstance(rule, _LeafSet) else rule
+    for name, rule in _CONTENT_TABLE}
 
 ALL_RULES: dict[str, RuleFn] = {**STRUCTURAL_RULES, **CONTENT_RULES}
 

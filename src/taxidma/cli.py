@@ -179,10 +179,7 @@ def _cmd_validate(args, catalog: Catalog) -> int:
     for name in args.files:
         try:
             record = read_record(Path(name).read_text(encoding="utf-8"))
-        except OSError as exc:
-            _error(f"{name}: {exc}")
-            return FORMAT_ERROR
-        except MalformedFileError as exc:
+        except (OSError, MalformedFileError) as exc:
             _error(f"{name}: {exc}")
             return FORMAT_ERROR
         report = validate_record(record, catalog)
@@ -313,7 +310,7 @@ def _cmd_from_stix(args, catalog: Catalog) -> int:
     except OSError as exc:
         _error(f"{args.file}: {exc}")
         return FORMAT_ERROR
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         _error(f"{args.file}: not JSON: {exc}")
         return FORMAT_ERROR
     try:

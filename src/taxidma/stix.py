@@ -355,19 +355,19 @@ class VocabularyTables:
         token_to_code = {token: code for code, token in code_to_token.items()}
         return code_to_token, token_to_code
 
+    def _tables(self, *key) -> tuple[dict, dict]:
+        tables = self._cache.get(key)
+        if tables is None:
+            tables = self._cache[key] = self._build(*key)
+        return tables
+
     def token_for(self, tax_key: str, category: str, item_code: str,
                   prefix: tuple[int, ...], code: str) -> str:
-        key = (tax_key, category, item_code, prefix)
-        if key not in self._cache:
-            self._cache[key] = self._build(*key)
-        return self._cache[key][0][code]
+        return self._tables(tax_key, category, item_code, prefix)[0][code]
 
     def code_for(self, tax_key: str, category: str, item_code: str,
                  prefix: tuple[int, ...], token: str) -> str | None:
-        key = (tax_key, category, item_code, prefix)
-        if key not in self._cache:
-            self._cache[key] = self._build(*key)
-        return self._cache[key][1].get(token)
+        return self._tables(tax_key, category, item_code, prefix)[1].get(token)
 
 
 # -- scopes -------------------------------------------------------------------

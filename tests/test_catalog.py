@@ -1,12 +1,15 @@
 """Catalog loading, lookup, enumeration, naming, and verification tests."""
 from __future__ import annotations
 
+import hashlib
 import json
 import re
+from importlib import resources
 
 import pytest
 
 from taxidma.catalog import (
+    ALL_RULES,
     CONTENT_RULES,
     Catalog,
     Category,
@@ -397,6 +400,86 @@ def test_unknown_item_kind_rejected():
         load_catalog(json.dumps(doc))
 
 
+def test_load_rejects_nesting_too_deep_to_decode():
+    with pytest.raises(MalformedDocumentError):
+        load_catalog("[" * 100000)
+
+
+@pytest.mark.parametrize("overrides", [5, None, {"taxonomy": "BG"}])
+def test_non_list_overrides_rejected(overrides):
+    doc = json.loads(make_doc())
+    doc["profiles"] = [{"code": "IoT", "name": "I", "overrides": overrides}]
+    with pytest.raises(MalformedDocumentError,
+                       match=r"^profiles\[0\]\.overrides: wrong type$"):
+        load_catalog(json.dumps(doc))
+
+
+def _override(item="T"):
+    return {"taxonomy": "BG", "category": "A", "item": item,
+            "definition": {"code": item, "name": "Type", "leaves": []}}
+
+
+def _duplicate_category(doc):
+    cats = doc["taxonomies"][0]["categories"]
+    cats.append(json.loads(json.dumps(cats[0])))
+
+
+def _duplicate_item(doc):
+    items = doc["taxonomies"][0]["categories"][0]["items"]
+    items.append(json.loads(json.dumps(items[0])))
+
+
+def _duplicate_leaf(doc):
+    leaves = doc["taxonomies"][0]["categories"][0]["items"][0]["leaves"]
+    leaves.append({"n": 1, "name": "Again"})
+
+
+def _duplicate_child(doc):
+    leaf = doc["taxonomies"][0]["categories"][0]["items"][0]["leaves"][0]
+    leaf["children"] = [{"n": 2, "name": "A"}, {"n": 2, "name": "B"}]
+
+
+def _duplicate_profile(doc):
+    doc["profiles"] = [{"code": "IoT", "name": "I"},
+                       {"code": "IoT", "name": "J"}]
+
+
+def _profile_named_like_taxonomy(doc):
+    doc["profiles"] = [{"code": "BG", "name": "B"}]
+
+
+def _duplicate_override(doc):
+    doc["profiles"] = [{"code": "IoT", "name": "I",
+                        "overrides": [_override(), _override()]}]
+
+
+@pytest.mark.parametrize("mutate, expected", [
+    (_duplicate_category,
+     ("BG.A", "taxonomies[0].categories[0]", "taxonomies[0].categories[1]")),
+    (_duplicate_item,
+     ("BG.A.T", "taxonomies[0].categories[0].items[0]",
+      "taxonomies[0].categories[0].items[1]")),
+    (_duplicate_leaf,
+     ("leaf number 1", "taxonomies[0].categories[0].items[0].leaves[0]",
+      "taxonomies[0].categories[0].items[0].leaves[2]")),
+    (_duplicate_child,
+     ("leaf number 2",
+      "taxonomies[0].categories[0].items[0].leaves[0].children[0]",
+      "taxonomies[0].categories[0].items[0].leaves[0].children[1]")),
+    (_duplicate_profile, ("IoT", "profiles[0]", "profiles[1]")),
+    (_profile_named_like_taxonomy, ("BG", "taxonomies[0]", "profiles[0]")),
+    (_duplicate_override,
+     ("IoT:BG.A.T", "profiles[0].overrides[0]", "profiles[0].overrides[1]")),
+])
+def test_duplicate_declarations_name_the_code_and_both_places(mutate,
+                                                              expected):
+    doc = json.loads(make_doc())
+    mutate(doc)
+    with pytest.raises(DuplicateCodeError) as exc:
+        load_catalog(json.dumps(doc))
+    assert (exc.value.code_path, exc.value.first, exc.value.second) == expected
+
+
 # -- verification findings ---------------------------------------------------
 
 
@@ -438,3 +521,183 @@ def test_verify_flags_leaves_on_free_text_item():
     doc["taxonomies"][0]["categories"][0]["items"][0]["kind"] = "free_text"
     catalog = load_catalog(json.dumps(doc))
     assert any(v.rule == "kind-leaves" for v in verify_catalog(catalog))
+
+
+# -- golden verification over mutated copies of the bundled document ----------
+
+
+def _raw_item(doc, path):
+    """The raw item at ``TAX.CAT.ITEM`` or an override's ``P:TAX.CAT.ITEM``."""
+    profile, _, rest = path.rpartition(":")
+    tax, cat, code = rest.split(".")
+    if profile:
+        prof = next(p for p in doc["profiles"] if p["code"] == profile)
+        return next(ov["definition"] for ov in prof["overrides"]
+                    if (ov["taxonomy"], ov["category"], ov["item"])
+                    == (tax, cat, code))
+    taxonomy = next(t for t in doc["taxonomies"] if t["code"] == tax)
+    category = next(c for c in taxonomy["categories"] if c["code"] == cat)
+    return next(i for i in category["items"] if i["code"] == code)
+
+
+def _raw_leaf(doc, path, *numbers):
+    leaf = _raw_item(doc, path)
+    for number in numbers:
+        leaf = next(l for l in leaf["leaves" if "code" in leaf else "children"]
+                    if l["n"] == number)
+    return leaf
+
+
+def _drop_item(doc, path):
+    profile, _, rest = path.rpartition(":")
+    tax, cat, code = rest.split(".")
+    if profile:
+        prof = next(p for p in doc["profiles"] if p["code"] == profile)
+        prof["overrides"] = [ov for ov in prof["overrides"]
+                             if (ov["taxonomy"], ov["category"], ov["item"])
+                             != (tax, cat, code)]
+        return
+    taxonomy = next(t for t in doc["taxonomies"] if t["code"] == tax)
+    category = next(c for c in taxonomy["categories"] if c["code"] == cat)
+    category["items"] = [i for i in category["items"] if i["code"] != code]
+
+
+def _rename_first(doc, path):
+    _raw_leaf(doc, path, 1)["name"] = "Renamed"
+
+
+def _drop_last(doc, path):
+    leaves = _raw_item(doc, path)["leaves"]
+    last = max(l["n"] for l in leaves)
+    leaves[:] = [l for l in leaves if l["n"] != last]
+
+
+def _toggle_others(doc, path):
+    leaves = _raw_item(doc, path)["leaves"]
+    if any(l["n"] == 0 for l in leaves):
+        leaves[:] = [l for l in leaves if l["n"] != 0]
+    else:
+        leaves.append({"n": 0, "name": "Others", "children": []})
+
+
+def _swap_first_two(doc, path):
+    first, second = _raw_leaf(doc, path, 1), _raw_leaf(doc, path, 2)
+    first["name"], second["name"] = second["name"], first["name"]
+
+
+def _rename_lifecycles(doc):
+    for path in ("SI.I.L", "IMS.I.L"):
+        _raw_item(doc, path)["name"] = "Stage"
+
+
+def _mutations():
+    """(label, mutate) pairs; every mutated copy still loads."""
+    base_targets = ("BG.A.C", "BG.I.A", "SI.K.G", "IMS.K.G", "SI.I.L",
+                    "IMS.I.L", "UE.K.B", "UE.I.T", "UE.K.T", "SI.I.U",
+                    "IMS.I.S", "UE.I.E", "SI.I.N")
+    override_targets = ("IoT:BG.T.T", "IoT:BG.T.S", "IoT:BG.I.T",
+                        "IoT:BG.I.O", "IoT:SI.T.L", "IoT:SI.T.O",
+                        "IoT:SI.T.V", "IoT:SI.T.H", "IoT:SI.K.G",
+                        "SSI:SI.T.L", "SSI:SI.T.O", "SSI:IMS.T.L",
+                        "SSI:IMS.T.O", "SSI:UE.T.L", "SSI:UE.T.O")
+    leaf_edits = (_rename_first, _drop_last, _toggle_others, _swap_first_two)
+    out = []
+    for path in base_targets:
+        for edit in leaf_edits:
+            out.append((f"{edit.__name__} {path}",
+                        lambda d, e=edit, p=path: e(d, p)))
+        out.append((f"drop {path}", lambda d, p=path: _drop_item(d, p)))
+    for path in override_targets:
+        out.append((f"drop {path}", lambda d, p=path: _drop_item(d, p)))
+    for path in ("IoT:BG.T.T", "IoT:BG.T.S", "IoT:SI.T.L", "IoT:SI.T.H",
+                 "IoT:SI.K.G", "SSI:SI.T.L", "SSI:UE.T.O"):
+        for edit in (_rename_first, _toggle_others):
+            out.append((f"{edit.__name__} {path}",
+                        lambda d, e=edit, p=path: e(d, p)))
+    for code in ("IoT", "SSI"):
+        out.append((f"drop profile {code}", lambda d, c=code: d.update(
+            profiles=[p for p in d["profiles"] if p["code"] != c])))
+
+    def set_name(path, numbers, name):
+        return lambda d: _raw_leaf(d, path, *numbers).update(name=name)
+
+    def set_children(path, numbers, names):
+        return lambda d: _raw_leaf(d, path, *numbers).update(children=[
+            {"n": n, "name": name, "children": []}
+            for n, name in enumerate(names, start=1)])
+
+    def add_leaf(path, name):
+        return lambda d: _raw_item(d, path)["leaves"].append(
+            {"n": 9, "name": name, "children": []})
+
+    out += [
+        ("no Lifecycle item", _rename_lifecycles),
+        ("BG attacker recoded", lambda d: d["taxonomies"][0]["categories"][0]
+         .update(code="X")),
+        ("Others renumbered", lambda d: _raw_leaf(d, "BG.I.A", 0)
+         .update(n=9)),
+        ("knowledge child", set_name("BG.A.C", (3, 2), "Some")),
+        ("time child", set_name("BG.A.C", (4, 3), "Lots")),
+        ("theft child", set_name("UE.K.B", (1, 2), "Takeover")),
+        ("theft Others", lambda d: _raw_leaf(d, "UE.K.B", 1).update(
+            children=[l for l in _raw_leaf(d, "UE.K.B", 1)["children"]
+                      if l["n"] != 0])),
+        ("financial children", set_children("UE.I.T", (1,), ["Bank"])),
+        ("state renamed", set_name("UE.I.T", (3,), "Nation")),
+        ("brute force child", set_name("UE.K.T", (1, 4, 2), "Guessing")),
+        ("brute force renamed", lambda d: next(
+            c for c in _raw_leaf(d, "UE.K.T", 1)["children"]
+            if c["name"] == "Brute Force").update(name="Force")),
+        ("domain renamed", lambda d: _raw_item(d, "IoT:BG.T.S")
+         .update(name="Sector")),
+        ("user management survives", add_leaf("IoT:SI.K.G", "User Management")),
+        ("network children", set_children("SSI:SI.T.L", (2,), ["Normal"])),
+        ("system children", set_children("SSI:IMS.T.L", (3,),
+                                          ["Client", "Server"])),
+        ("override named Timeliness", lambda d: _raw_item(d, "IoT:BG.I.T")
+         .update(name="Timeliness")),
+    ]
+    return out
+
+
+def _lines(violations):
+    return "".join(f"{v}\n" for v in violations)
+
+
+# sha256 of the verify_catalog and per-rule output over every mutated copy.
+GOLDEN_VERIFY_SHA256 = (
+    "b43a084a307eff7a51f310e2bd13c17810ca1f6ab397dd58c1e5de7008ecbdb1")
+
+
+def test_rule_registry_names_and_order_are_pinned():
+    assert list(ALL_RULES) == [
+        "taxonomy-codes", "category-set", "fixed-item-codes",
+        "leaf-numbering", "kind-leaves", "item-code-unique",
+        "BG-has-attacker", "others-is-zero", "bg-capabilities-items",
+        "knowledge-scale", "time-scale", "authenticity-leaves",
+        "attack-category-leaves", "lifecycle-stages", "ue-pattern-tree",
+        "ue-identity-types", "ue-brute-force", "amount-leaves",
+        "timeliness-leaves", "completeness-leaves", "directness-leaves",
+        "iot-target-type", "iot-domain", "iot-level", "iot-characteristics",
+        "iot-attack-category", "ssi-level", "ssi-location"]
+    assert list(ALL_RULES)[6:] == list(CONTENT_RULES)
+
+
+def test_verification_output_on_mutated_catalogs_is_pinned():
+    source = (resources.files("taxidma") / "data"
+              / "taxidma-v2.catalog.json").read_text(encoding="utf-8")
+    digest = hashlib.sha256()
+    fired: set[str] = set()
+    for label, mutate in _mutations():
+        doc = json.loads(source)
+        mutate(doc)
+        catalog = load_catalog(json.dumps(doc))
+        digest.update(f"== {label}\n{_lines(verify_catalog(catalog))}"
+                      .encode("utf-8"))
+        for name, rule in CONTENT_RULES.items():
+            found = rule(catalog)
+            if found:
+                fired.add(name)
+            digest.update(f"-- {name}\n{_lines(found)}".encode("utf-8"))
+    assert sorted(set(CONTENT_RULES) - fired) == []
+    assert digest.hexdigest() == GOLDEN_VERIFY_SHA256

@@ -95,7 +95,8 @@ def test_check_catalog_is_clean(capsys):
 
 def test_check_catalog_reports_violations(tmp_path, capsys):
     doc = json.loads(make_doc())
-    # make the catch-all leaf number nonzero: two rules should fire
+    # make the catch-all leaf number nonzero; the minimal document also
+    # lacks most items the content rules name
     item = doc["taxonomies"][0]["categories"][0]["items"][0]
     for leaf in item["leaves"]:
         if leaf["n"] == 0:
@@ -103,8 +104,33 @@ def test_check_catalog_reports_violations(tmp_path, capsys):
     path = tmp_path / "broken.catalog.json"
     path.write_text(json.dumps(doc))
     assert run(["--catalog", str(path), "check-catalog"]) == 1
-    out = capsys.readouterr().out
-    assert "violation(s)" in out
+    assert capsys.readouterr().out == (
+        "category-set: BG: categories ['A'] != ['A', 'I', 'K', 'T']\n"
+        "leaf-numbering: BG.A.T: numbers [1, 9] not contiguous from 1\n"
+        "others-is-zero: BG.A.T.9: Others numbered 9\n"
+        "bg-capabilities-items: BG.A.C: item missing\n"
+        "knowledge-scale: BG.A.C.3: missing\n"
+        "time-scale: BG.A.C.4: missing\n"
+        "authenticity-leaves: BG.I.A: item missing\n"
+        "attack-category-leaves: SI.K.G: item missing\n"
+        "attack-category-leaves: IMS.K.G: item missing\n"
+        "lifecycle-stages: *: no Lifecycle item anywhere\n"
+        "ue-pattern-tree: UE.K.B: item missing\n"
+        "ue-pattern-tree: UE.K.B.1: missing\n"
+        "ue-identity-types: UE.I.T: item missing\n"
+        "ue-brute-force: UE.K.T.1: Brute Force leaf missing\n"
+        "iot-target-type: IoT:BG.T.T: item missing\n"
+        "iot-domain: IoT:BG.T.S: item missing\n"
+        "iot-level: IoT:SI.T.L: item missing\n"
+        "iot-characteristics: IoT:SI.T.H: item missing\n"
+        "iot-attack-category: IoT:SI.K.G: item missing\n"
+        "ssi-level: SSI:SI.T.L: item missing\n"
+        "ssi-level: SSI:IMS.T.L: item missing\n"
+        "ssi-level: SSI:UE.T.L: item missing\n"
+        "ssi-location: SSI:SI.T.O: item missing\n"
+        "ssi-location: SSI:IMS.T.O: item missing\n"
+        "ssi-location: SSI:UE.T.O: item missing\n"
+        "25 violation(s)\n")
 
 
 def test_unreadable_catalog_exits_three(tmp_path, capsys):
@@ -300,6 +326,13 @@ def test_from_stix_rejects_non_bundles(tmp_path, capsys):
     path.write_text("{broken")
     assert run(["from-stix", str(path)]) == 3
     assert run(["from-stix", str(tmp_path / "missing.json")]) == 3
+
+
+def test_from_stix_reports_nesting_too_deep_as_not_json(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    assert run(["from-stix", str(path)]) == 3
+    assert "not JSON" in capsys.readouterr().err
 
 
 # -- stats ------------------------------------------------------------------------

@@ -306,6 +306,11 @@ def test_read_record_rejects_garbage():
         read_record("{}")
 
 
+def test_read_record_rejects_nesting_too_deep_to_decode():
+    with pytest.raises(MalformedFileError):
+        read_record("[" * 100000)
+
+
 def test_read_record_rejects_unknown_taxonomy_token(catalog):
     record = build_minimal(catalog)
     text = write_record(record).replace('"BG.K.R.4"', '"XX.K.R.4"')
