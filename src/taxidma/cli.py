@@ -179,7 +179,7 @@ def _cmd_validate(args, catalog: Catalog) -> int:
     for name in args.files:
         try:
             record = read_record(Path(name).read_text(encoding="utf-8"))
-        except (OSError, MalformedFileError) as exc:
+        except (OSError, UnicodeDecodeError, MalformedFileError) as exc:
             _error(f"{name}: {exc}")
             return FORMAT_ERROR
         report = validate_record(record, catalog)
@@ -279,7 +279,7 @@ def _cmd_encode(args, catalog: Catalog, input_fn) -> int:
 def _cmd_to_stix(args, catalog: Catalog) -> int:
     try:
         record = read_record(Path(args.file).read_text(encoding="utf-8"))
-    except (OSError, MalformedFileError) as exc:
+    except (OSError, UnicodeDecodeError, MalformedFileError) as exc:
         _error(f"{args.file}: {exc}")
         return FORMAT_ERROR
     try:
@@ -310,7 +310,7 @@ def _cmd_from_stix(args, catalog: Catalog) -> int:
     except OSError as exc:
         _error(f"{args.file}: {exc}")
         return FORMAT_ERROR
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         _error(f"{args.file}: not JSON: {exc}")
         return FORMAT_ERROR
     try:
@@ -353,7 +353,7 @@ def run(argv: list[str] | None = None, input_fn=input) -> int:
         return int(exc.code or 0)
     try:
         catalog = _load_catalog(args)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         _error(f"cannot read catalog: {exc}")
         return FORMAT_ERROR
     except TaxidmaError as exc:

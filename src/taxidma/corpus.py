@@ -5,6 +5,18 @@ go through a temp file plus atomic rename and are serialized by a
 ``.taxidma-lock`` file, so concurrent writers fail loudly instead of
 corrupting each other.
 
+Statistics over a corpus read a summary file, ``.taxidma-summary``, beside
+the records.  It maps the sha256 of each record file's bytes to that
+record's selection codes as canonical texts, so a query hashes each file
+and parses only the files whose hash it does not find.  Because an entry is
+keyed on content it never goes stale; a rewritten record simply misses.
+The summary is only a cache: a missing, unreadable or malformed one (or a
+malformed entry) is ignored and the files are parsed, and deleting it
+changes no output.  Readers keep it up to date, not writers: a query that
+parsed any file, or found entries for files that are gone, rewrites the
+whole summary through a temp file and an atomic rename, without taking the
+lock, and ignores any failure to write it.
+
 Statistics count *records* by default: a code (pruned to the requested
 grouping depth) scores one per record that selects it anywhere, which keeps
 heavily annotated records from drowning out the rest.  Shares are exact
@@ -13,8 +25,11 @@ decimal places).
 """
 from __future__ import annotations
 
+import contextlib
 import csv
+import hashlib
 import io
+import json
 import os
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -22,7 +37,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .catalog import Catalog
-from .codes import TaxonomyCode, format_code, parse_code
+from .codes import format_code, parse_code
 from .errors import (
     CodeSyntaxError,
     MalformedFileError,
@@ -39,6 +54,9 @@ from .record import (
 )
 
 LOCK_NAME = ".taxidma-lock"
+SUMMARY_NAME = ".taxidma-summary"
+# Bump when parsing or canonical texts change, so old summaries are ignored.
+_SUMMARY_FORMAT = "taxidma-summary 1"
 GROUPINGS = ("category", "item", "leaf")
 # Dot-separated segments a group code keeps: TAX.CAT, TAX.CAT.ITEM and
 # TAX.CAT.ITEM.n.
@@ -58,10 +76,12 @@ class Corpus:
     def record_ids(self) -> list[str]:
         if not self.root.is_dir():
             return []
-        return sorted(
-            entry.name[: -len(RECORD_FILE_SUFFIX)]
-            for entry in self.root.iterdir()
-            if entry.is_file() and entry.name.endswith(RECORD_FILE_SUFFIX))
+        with os.scandir(self.root) as entries:
+            return sorted(
+                entry.name[: -len(RECORD_FILE_SUFFIX)]
+                for entry in entries
+                if entry.name.endswith(RECORD_FILE_SUFFIX)
+                and entry.is_file())
 
     def __len__(self) -> int:
         return len(self.record_ids())
@@ -71,18 +91,61 @@ class Corpus:
             yield self.load(record_id)
 
     def load(self, record_id: str) -> AttackRecord:
+        return _parse_file(*self._read(record_id))
+
+    def _read(self, record_id: str) -> tuple[Path, bytes]:
         path = self.path_for(record_id)
         try:
-            text = path.read_text(encoding="utf-8")
+            return path, path.read_bytes()
         except FileNotFoundError:
             raise RecordNotFoundError(
                 f"no record {record_id!r} in {self.root}") from None
         except OSError as exc:
             raise StorageFailureError(f"cannot read {path}: {exc}") from exc
+
+    def _selection_texts(self) -> list[list[str]]:
+        """Each record's selection codes as canonical texts, in record
+        order, served from the summary where a file's hash is in it."""
+        summary = self._read_summary()
+        fresh: dict[str, list[str]] = {}
+        out = []
+        missed = False
+        for record_id in self.record_ids():
+            path, data = self._read(record_id)
+            key = hashlib.sha256(data).hexdigest()
+            texts = summary.get(key)
+            if type(texts) is not list or \
+                    any(type(text) is not str for text in texts):
+                texts = _record_texts(_parse_file(path, data))
+                missed = True
+            fresh[key] = texts
+            out.append(texts)
+        if missed or len(fresh) != len(summary):
+            self._write_summary(fresh)
+        return out
+
+    def _read_summary(self) -> dict:
         try:
-            return read_record(text)
-        except MalformedFileError as exc:
-            raise MalformedFileError(f"{path.name}: {exc}") from exc
+            payload = json.loads((self.root / SUMMARY_NAME).read_bytes())
+        except (OSError, ValueError, RecursionError):
+            return {}
+        if type(payload) is dict and \
+                payload.get("format") == _SUMMARY_FORMAT and \
+                type(payload.get("records")) is dict:
+            return payload["records"]
+        return {}
+
+    def _write_summary(self, entries: dict[str, list[str]]) -> None:
+        path = self.root / SUMMARY_NAME
+        scratch = path.with_name(f"{SUMMARY_NAME}.{os.getpid()}.tmp")
+        try:
+            scratch.write_text(json.dumps(
+                {"format": _SUMMARY_FORMAT, "records": entries}),
+                encoding="utf-8")
+            os.replace(scratch, path)
+        except OSError:
+            with contextlib.suppress(OSError):
+                scratch.unlink()
 
     def store(self, record: AttackRecord) -> Path:
         """Write (or replace) one record, atomically and under the corpus
@@ -119,6 +182,20 @@ class Corpus:
         return path
 
 
+def _parse_file(path: Path, data: bytes) -> AttackRecord:
+    """Parse a record file's bytes as ``Path.read_text`` would decode them,
+    newline translation included, so error positions read the same."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedFileError(
+            f"{path.name}: not a JSON document: {exc}") from exc
+    try:
+        return read_record(text.replace("\r\n", "\n").replace("\r", "\n"))
+    except MalformedFileError as exc:
+        raise MalformedFileError(f"{path.name}: {exc}") from exc
+
+
 # -- statistics ---------------------------------------------------------------
 
 
@@ -137,11 +214,9 @@ class StatsReport:
     entries: tuple[StatsEntry, ...]
 
 
-def _group_code(code: TaxonomyCode, depth: int,
-                merge_profiles: bool) -> str:
-    """The code's canonical text cut to its first ``depth`` segments (all
-    of them when it is shallower), without the profile if merging."""
-    text = format_code(code)
+def _cut(text: str, depth: int, merge_profiles: bool) -> str:
+    """A canonical code text cut to its first ``depth`` segments (all of
+    them when it is shallower), without the profile if merging."""
     if merge_profiles:
         text = text[text.find(":") + 1:]
     return ".".join(text.split(".", depth)[:depth])
@@ -155,11 +230,22 @@ def _group_depth(group_by: str) -> int:
     return _GROUP_DEPTHS[group_by]
 
 
-def _record_codes(record: AttackRecord, depth: int,
-                  merge_profiles: bool) -> list[str]:
-    return [_group_code(selection.code, depth, merge_profiles)
+def _record_texts(record: AttackRecord) -> list[str]:
+    return [format_code(selection.code)
             for application in (record.background, *record.applications)
             for selection in application.selections]
+
+
+def _group_codes(records: Iterable[AttackRecord], depth: int,
+                 merge_profiles: bool) -> Iterator[list[str]]:
+    """Each record's group codes, one per selection.  A :class:`Corpus`
+    answers from its summary; other records render their codes."""
+    if isinstance(records, Corpus):
+        per_record = records._selection_texts()
+    else:
+        per_record = map(_record_texts, records)
+    for texts in per_record:
+        yield [_cut(text, depth, merge_profiles) for text in texts]
 
 
 def _full_name(catalog: Catalog, code_text: str) -> str:
@@ -188,9 +274,8 @@ def compute_stats(records: Iterable[AttackRecord], catalog: Catalog,
     counts: dict[str, int] = {}
     record_total = 0
     selection_total = 0
-    for record in records:
+    for codes in _group_codes(records, depth, merge_profiles):
         record_total += 1
-        codes = _record_codes(record, depth, merge_profiles)
         selection_total += len(codes)
         if not count_selections:
             codes = sorted(set(codes))
@@ -215,8 +300,8 @@ def co_occurrence(records: Iterable[AttackRecord],
     """
     depth = _group_depth(group_by)
     pairs: dict[tuple[str, str], int] = {}
-    for record in records:
-        present = sorted(set(_record_codes(record, depth, merge_profiles)))
+    for codes in _group_codes(records, depth, merge_profiles):
+        present = sorted(set(codes))
         for i, left in enumerate(present):
             for right in present[i:]:
                 key = (left, right)

@@ -142,6 +142,24 @@ def test_unreadable_catalog_exits_three(tmp_path, capsys):
                 "name", "BG"]) == 3
 
 
+def _undecodable(tmp_path, name="noise.json"):
+    path = tmp_path / name
+    path.write_bytes(b"\xff\xfe{")
+    return path
+
+
+def _one_line(err: str) -> str:
+    assert err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+def test_undecodable_catalog_exits_three(tmp_path, capsys):
+    path = _undecodable(tmp_path)
+    assert run(["--catalog", str(path), "name", "BG"]) == 3
+    assert _one_line(capsys.readouterr().err).startswith(
+        "cannot read catalog: 'utf-8' codec can't decode byte 0xff")
+
+
 # -- validate -------------------------------------------------------------------
 
 
@@ -172,6 +190,12 @@ def test_validate_garbage_file_exits_three(tmp_path, capsys):
     path = tmp_path / "noise.taxidma.json"
     path.write_text("not json at all")
     assert run(["validate", str(path)]) == 3
+
+
+def test_validate_undecodable_file_exits_three(tmp_path, capsys):
+    path = _undecodable(tmp_path)
+    assert run(["validate", str(path)]) == 3
+    assert _one_line(capsys.readouterr().err).startswith(f"{path}: ")
 
 
 # -- encode ---------------------------------------------------------------------
@@ -269,6 +293,12 @@ def test_to_stix_refuses_invalid_records(tmp_path, capsys):
     assert "unresolvable-code" in capsys.readouterr().err
 
 
+def test_to_stix_undecodable_file_exits_three(tmp_path, capsys):
+    path = _undecodable(tmp_path)
+    assert run(["to-stix", str(path)]) == 3
+    assert _one_line(capsys.readouterr().err).startswith(f"{path}: ")
+
+
 def test_to_stix_missing_file_exits_three(tmp_path):
     assert run(["to-stix", str(tmp_path / "none.taxidma.json")]) == 3
 
@@ -328,6 +358,13 @@ def test_from_stix_rejects_non_bundles(tmp_path, capsys):
     assert run(["from-stix", str(tmp_path / "missing.json")]) == 3
 
 
+def test_from_stix_undecodable_file_is_not_json(tmp_path, capsys):
+    path = _undecodable(tmp_path)
+    assert run(["from-stix", str(path)]) == 3
+    assert _one_line(capsys.readouterr().err).startswith(
+        f"{path}: not JSON: ")
+
+
 def test_from_stix_reports_nesting_too_deep_as_not_json(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100000)
@@ -373,6 +410,13 @@ def test_stats_malformed_record_exits_three(corpus_dir, capsys):
     (corpus_dir / "rot.taxidma.json").write_text("{rot")
     assert run(["stats", str(corpus_dir)]) == 3
     assert "rot.taxidma.json" in capsys.readouterr().err
+
+
+def test_stats_undecodable_record_exits_three(corpus_dir, capsys):
+    _undecodable(corpus_dir, "rot.taxidma.json")
+    assert run(["stats", str(corpus_dir)]) == 3
+    assert _one_line(capsys.readouterr().err).startswith(
+        "rot.taxidma.json: not a JSON document: 'utf-8' codec")
 
 
 # -- plumbing ----------------------------------------------------------------------
