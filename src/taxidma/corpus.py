@@ -10,12 +10,13 @@ the records.  It maps the sha256 of each record file's bytes to that
 record's selection codes as canonical texts, so a query hashes each file
 and parses only the files whose hash it does not find.  Because an entry is
 keyed on content it never goes stale; a rewritten record simply misses.
-The summary is only a cache: a missing, unreadable or malformed one (or a
-malformed entry) is ignored and the files are parsed, and deleting it
-changes no output.  Readers keep it up to date, not writers: a query that
-parsed any file, or found entries for files that are gone, rewrites the
-whole summary through a temp file and an atomic rename, without taking the
-lock, and ignores any failure to write it.
+The summary is only a cache: a missing, unreadable or malformed one, one
+that is not a regular file, or a malformed entry is ignored and the files
+are parsed, and deleting it changes no output.  Readers keep it up to date,
+not writers: a query that parsed any file, or found entries for files that
+are gone, rewrites the whole summary through an exclusively created temp
+file and an atomic rename, without taking the lock, and ignores any failure
+to write it.
 
 Statistics count *records* by default: a code (pruned to the requested
 grouping depth) scores one per record that selects it anywhere, which keeps
@@ -31,6 +32,7 @@ import hashlib
 import io
 import json
 import os
+import stat
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,8 +57,11 @@ from .record import (
 
 LOCK_NAME = ".taxidma-lock"
 SUMMARY_NAME = ".taxidma-summary"
-# Bump when parsing or canonical texts change, so old summaries are ignored.
+# Bump when parsing or canonical texts change, so old summaries are ignored;
+# tests/test_summary.py pins the summary each format writes.
 _SUMMARY_FORMAT = "taxidma-summary 1"
+_SUMMARY_READ_FLAGS = (os.O_RDONLY | getattr(os, "O_NOFOLLOW", 0)
+                       | getattr(os, "O_NONBLOCK", 0))
 GROUPINGS = ("category", "item", "leaf")
 # Dot-separated segments a group code keeps: TAX.CAT, TAX.CAT.ITEM and
 # TAX.CAT.ITEM.n.
@@ -125,10 +130,22 @@ class Corpus:
         return out
 
     def _read_summary(self) -> dict:
+        """The summary's entries, or none unless it is a regular file in
+        the current format.  Opening follows no symlink and does not wait
+        on a FIFO."""
         try:
-            payload = json.loads((self.root / SUMMARY_NAME).read_bytes())
+            fd = os.open(self.root / SUMMARY_NAME, _SUMMARY_READ_FLAGS)
+        except OSError:
+            return {}
+        try:
+            if not stat.S_ISREG(os.fstat(fd).st_mode):
+                return {}
+            with open(fd, "rb", closefd=False) as file:
+                payload = json.loads(file.read())
         except (OSError, ValueError, RecursionError):
             return {}
+        finally:
+            os.close(fd)
         if type(payload) is dict and \
                 payload.get("format") == _SUMMARY_FORMAT and \
                 type(payload.get("records")) is dict:
@@ -136,13 +153,20 @@ class Corpus:
         return {}
 
     def _write_summary(self, entries: dict[str, list[str]]) -> None:
-        path = self.root / SUMMARY_NAME
-        scratch = path.with_name(f"{SUMMARY_NAME}.{os.getpid()}.tmp")
+        """Replace the summary, or leave it be on any failure.  The temp
+        file has a random name and is created exclusively, so neither a
+        planted file or symlink nor another writer's temp file is ever
+        written through."""
+        scratch = self.root / f"{SUMMARY_NAME}.{os.urandom(8).hex()}.tmp"
         try:
-            scratch.write_text(json.dumps(
-                {"format": _SUMMARY_FORMAT, "records": entries}),
-                encoding="utf-8")
-            os.replace(scratch, path)
+            fd = os.open(scratch, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+        except OSError:
+            return
+        try:
+            with open(fd, "w", encoding="utf-8") as file:
+                file.write(json.dumps(
+                    {"format": _SUMMARY_FORMAT, "records": entries}))
+            os.replace(scratch, self.root / SUMMARY_NAME)
         except OSError:
             with contextlib.suppress(OSError):
                 scratch.unlink()

@@ -10,11 +10,12 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURE_IDS, load_fixture_record
+from conftest import FIXTURE_IDS, FIXTURES, load_fixture_record
 from record_gen import record_batch
 from taxidma import corpus as corpus_module
 from taxidma.cli import run
@@ -307,6 +308,108 @@ def test_listing_never_shows_the_summary_or_its_temp_file(corpus, records,
     assert corpus.record_ids() == ids
     assert len(corpus) == len(records)
     assert [record.record_id for record in corpus] == ids
+
+
+def test_planted_temp_file_is_never_written_through(corpus, records,
+                                                     bundled_catalog,
+                                                     tmp_path, monkeypatch):
+    # Pin the temp name that random bytes would give, and plant a symlink
+    # there: to a file outside the corpus, and to a path that is not there.
+    expected = outputs(records, bundled_catalog)
+    monkeypatch.setattr(corpus_module.os, "urandom", lambda n: bytes(n))
+    planted = corpus.root / f"{SUMMARY_NAME}.{bytes(8).hex()}.tmp"
+    victim = tmp_path / "victim"
+    for target_exists in (True, False):
+        _delete(corpus)
+        victim.unlink(missing_ok=True)
+        if target_exists:
+            victim.write_text("keep")
+        planted.unlink(missing_ok=True)
+        planted.symlink_to(victim)
+        assert outputs(corpus, bundled_catalog, lambda: _delete(corpus)) == \
+            expected
+        assert planted.is_symlink()
+        assert not _summary(corpus).exists()
+        if target_exists:
+            assert victim.read_text() == "keep"
+        else:
+            assert not victim.exists()
+
+
+def _query_in_thread(corpus, catalog):
+    """``compute_stats`` over ``corpus``, or None if it has not returned
+    within 30 seconds."""
+    result = []
+    worker = threading.Thread(
+        target=lambda: result.append(compute_stats(corpus, catalog)),
+        daemon=True)
+    worker.start()
+    worker.join(30)
+    return result[0] if result else None
+
+
+def test_summary_must_be_a_regular_file(corpus, records, bundled_catalog,
+                                        tmp_path):
+    expected = compute_stats(records, bundled_catalog)
+    compute_stats(corpus, bundled_catalog)
+    valid = _summary(corpus).read_bytes()
+    # A FIFO would block a plain open until some writer came along.
+    _summary(corpus).unlink()
+    os.mkfifo(_summary(corpus))
+    report = _query_in_thread(corpus, bundled_catalog)
+    if report is None:
+        # Release the blocked reader before failing.
+        os.close(os.open(_summary(corpus), os.O_WRONLY | os.O_NONBLOCK))
+    assert report == expected
+    assert _summary(corpus).read_bytes() == valid
+    # A symlink, even to a valid summary, is ignored, and the rewrite
+    # replaces the link instead of writing through it.
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.write_bytes(valid)
+    _summary(corpus).unlink()
+    _summary(corpus).symlink_to(elsewhere)
+    assert _query_in_thread(corpus, bundled_catalog) == expected
+    assert not _summary(corpus).is_symlink()
+    assert _summary(corpus).read_bytes() == valid
+    assert elsewhere.read_bytes() == valid
+
+
+# One record file per edge of what the parser accepts: CRLF lines, bare
+# taxonomy and category codes, profile and reserved tokens, a long leaf,
+# a duplicate, an offset timestamp, an unknown field and non-ASCII text.
+EDGE_RECORD = (
+    '{"record_id": "edge", "title": "Zürich – edge", '
+    '"description": "", "sources": [], '
+    '"created": "2020-02-29T23:30:00+02:00", "extra": {"kept": false},\r\n'
+    ' "background": {"taxonomy": "BG", "instance_label": "", "selections": '
+    '[{"code": "BG"}, {"code": "BG.A"}, {"code": "BG.A.T"}, '
+    '{"code": "BG.K.R.4", "free_text": "x", "note": null}, '
+    '{"code": "BG.K.R.4"}]},\r\n'
+    ' "applications": [{"taxonomy": "IoT:SI", "instance_label": "fleet", '
+    '"selections": [{"code": "IoT:SI.K.G.2"}, {"code": "SSI"}, '
+    '{"code": "WA.X.YZ.0.10"}, {"code": "IMS.K.T.12345678901234567890"}]}, '
+    '{"taxonomy": "UE", "instance_label": "users", "selections": []}]}\r\n'
+).encode()
+
+# sha256 of the summary written for the fixture files and EDGE_RECORD, by
+# summary format.  Entries hold what parsing and canonical texts gave when
+# they were written, so a change to either must come with a new
+# corpus._SUMMARY_FORMAT and a new line here; never edit an existing line.
+PINNED_SUMMARIES = {
+    "taxidma-summary 1":
+        "204d84a8b8cc149a92e80968fa6713dd65aaa0eb2efafc8f0113b2890ccf6fb8",
+}
+
+
+def test_summary_format_pins_parsing_and_texts(tmp_path, bundled_catalog):
+    corpus = Corpus(tmp_path)
+    for record_id in FIXTURE_IDS:
+        name = f"{record_id}.taxidma.json"
+        (tmp_path / name).write_bytes((FIXTURES / name).read_bytes())
+    (tmp_path / "edge.taxidma.json").write_bytes(EDGE_RECORD)
+    compute_stats(corpus, bundled_catalog)
+    digest = hashlib.sha256(_summary(corpus).read_bytes()).hexdigest()
+    assert PINNED_SUMMARIES.get(corpus_module._SUMMARY_FORMAT) == digest
 
 
 def test_summary_survives_across_processes(corpus):
