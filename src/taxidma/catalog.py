@@ -312,21 +312,29 @@ class Catalog:
         return CatalogNode(parsed, leaf.name, "leaf", len(leaf.children),
                            item.kind)
 
+    @cached_property
+    def _full_names(self) -> dict[str, str]:
+        """Canonical code text -> full name, derived from the index as
+        used."""
+        names = {}
+        for text, (taxonomy, category, item, chain) in self._index.items():
+            profile = text.rpartition(":")[0]
+            parts = [self._profile_by_code[profile].name] if profile else []
+            parts += [node.name for node in (taxonomy, category, item)
+                      if node is not None]
+            names[text] = " ".join([*parts, *(leaf.name for leaf in chain)])
+        return names
+
     def full_name(self, code: TaxonomyCode | str) -> str:
-        """Human-readable name: one display-name segment per code segment."""
-        parsed = self._as_code(code)
-        taxonomy, category, item, chain = self.resolve(parsed)
-        parts: list[str] = []
-        if parsed.profile is not None:
-            profile = self.profile(parsed.profile)
-            parts.append(profile.name)
-        parts.append(taxonomy.name)
-        if category is not None:
-            parts.append(category.name)
-        if item is not None:
-            parts.append(item.name)
-        parts.extend(leaf.name for leaf in chain)
-        return " ".join(parts)
+        """Human-readable name: one display-name segment per code segment.
+
+        One lookup for a canonical text or a code that renders to one;
+        anything else is not in the index, and resolving it raises."""
+        text = code if isinstance(code, str) else format_code(code)
+        name = self._full_names.get(text)
+        if name is None:
+            self.resolve(code)  # raises the error that explains the miss
+        return name
 
     # -- enumeration -------------------------------------------------------
 

@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 validation findings (or an aborted wizard),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -119,6 +120,12 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--format", choices=("table", "csv", "json"),
                        default="table")
     return parser
+
+
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser every :func:`run` call in this process reuses."""
+    return build_parser()
 
 
 def _load_catalog(args) -> Catalog:
@@ -346,9 +353,8 @@ def _cmd_stats(args, catalog: Catalog) -> int:
 
 
 def run(argv: list[str] | None = None, input_fn=input) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -39,7 +39,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .catalog import Catalog
-from .codes import format_code, parse_code
+from .codes import format_code
 from .errors import (
     CodeSyntaxError,
     MalformedFileError,
@@ -274,7 +274,7 @@ def _group_codes(records: Iterable[AttackRecord], depth: int,
 
 def _full_name(catalog: Catalog, code_text: str) -> str:
     try:
-        return catalog.full_name(parse_code(code_text))
+        return catalog.full_name(code_text)
     except (CodeSyntaxError, UnknownPathError):
         return ""
 

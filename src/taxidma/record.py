@@ -227,6 +227,7 @@ def _validate_application(catalog: Catalog, scope: int,
             "BG is the background taxonomy; it is not repeatable")
 
     codes: list[TaxonomyCode] = []  # the selection codes that render
+    texts: list[str] = []  # and their canonical texts
     for index, selection in enumerate(application.selections):
         path = _scope_path(scope, index)
         try:
@@ -235,6 +236,7 @@ def _validate_application(catalog: Catalog, scope: int,
             err("invalid-code", path, str(exc))
             continue
         codes.append(selection.code)
+        texts.append(code_text)
         if tax_ok and (selection.code.profile, selection.code.taxonomy) != (
                 taxonomy.profile, taxonomy.taxonomy):
             err("selection-taxonomy-mismatch", path,
@@ -262,16 +264,22 @@ def _validate_application(catalog: Catalog, scope: int,
                  f"{code_text} selects a whole item that has leaves; "
                  "pick a leaf when one fits")
 
-    for i, a in enumerate(codes):
-        for b in codes[i + 1:]:
-            if a == b:
-                warn("duplicate-selection", _scope_path(scope),
-                     f"{format_code(a)} is selected more than once")
-            elif a.is_prefix_of(b) or b.is_prefix_of(a):
-                shallow, deep = (a, b) if a.is_prefix_of(b) else (b, a)
-                warn("redundant-selection", _scope_path(scope),
-                     f"{format_code(shallow)} is already implied by "
-                     f"{format_code(deep)}")
+    # Two codes that are equal, or nested, have equal texts or one text is
+    # the other's '.'-bounded prefix; sorted, such a pair stands side by
+    # side.  Only then can the pairwise checks warn.
+    texts.sort()
+    if any(b == a or b.startswith(a + ".")
+           for a, b in zip(texts, texts[1:])):
+        for i, a in enumerate(codes):
+            for b in codes[i + 1:]:
+                if a == b:
+                    warn("duplicate-selection", _scope_path(scope),
+                         f"{format_code(a)} is selected more than once")
+                elif a.is_prefix_of(b) or b.is_prefix_of(a):
+                    shallow, deep = (a, b) if a.is_prefix_of(b) else (b, a)
+                    warn("redundant-selection", _scope_path(scope),
+                         f"{format_code(shallow)} is already implied by "
+                         f"{format_code(deep)}")
 
     if scope == BACKGROUND:
         if not application.selections:

@@ -258,6 +258,57 @@ def test_full_name_extends_parent_name(catalog):
             node = node.parent()
 
 
+def _name_from_chain(catalog, text):
+    """The full name built from the node chain that resolution returns."""
+    code = parse_code(text)
+    taxonomy, category, item, chain = catalog.resolve(code)
+    parts = [catalog.profile(code.profile).name] if code.profile else []
+    parts += [node.name for node in (taxonomy, category, item) if node]
+    return " ".join(parts + [leaf.name for leaf in chain])
+
+
+def test_full_name_table_matches_parsed_lookup():
+    fresh = load_catalog(resources.files("taxidma").joinpath(
+        "data", "taxidma-v2.catalog.json").read_bytes())
+    assert "_full_names" not in vars(fresh)  # built as used, not at load
+    for text in fresh._index:
+        name = fresh.full_name(text)
+        assert name == fresh.full_name(parse_code(text)), text
+        assert name == _name_from_chain(fresh, text), text
+    assert fresh.full_name(TaxonomyCode("BG", "I", "A", [1])) == \
+        fresh.full_name("BG.I.A.1")
+
+
+# Each miss raises what it raised when full_name parsed and resolved every
+# argument.
+@pytest.mark.parametrize("code, error, message", [
+    ("bg.i.a.1", "CodeSyntaxError", "expected taxonomy token (offset 0)"),
+    ("BG.I.A.01", "CodeSyntaxError",
+     "leading zero in leaf number (offset 7)"),
+    ("WA.K", "UnknownPathError", "WA.K: reserved token"),
+    ("XX:BG", "CodeSyntaxError", "unknown profile 'XX' (offset 0)"),
+    ("", "EmptyInputError", "empty code string (offset 0)"),
+    ("IoT:BG.I.A.99", "UnknownPathError",
+     "IoT:BG.I.A.99: no leaf numbered 99 (resolved up to 'IoT:BG.I.A')"),
+    ("IoT", "UnknownPathError",
+     "IoT: 'IoT' is a profile token; qualify a taxonomy as IoT:<TAX>"),
+    ("BG.I.A.1 ", "CodeSyntaxError", "expected '.' before ' ' (offset 8)"),
+    (TaxonomyCode("BG", "I", "A", (99,)), "UnknownPathError",
+     "BG.I.A.99: no leaf numbered 99 (resolved up to 'BG.I.A')"),
+    (TaxonomyCode("bg"), "InvalidCodeError", "bad taxonomy token 'bg'"),
+    (TaxonomyCode("BG", "I", "A", (-1,)), "InvalidCodeError",
+     "bad leaf number -1"),
+    (5, "AttributeError", "'int' object has no attribute 'profile'"),
+    (None, "AttributeError", "'NoneType' object has no attribute 'profile'"),
+    (b"BG", "AttributeError", "'bytes' object has no attribute 'profile'"),
+    (["BG"], "AttributeError", "'list' object has no attribute 'profile'"),
+])
+def test_full_name_misses_raise_as_before(catalog, code, error, message):
+    with pytest.raises(Exception) as exc:
+        catalog.full_name(code)
+    assert (type(exc.value).__name__, str(exc.value)) == (error, message)
+
+
 def test_enumerate_item_order(catalog):
     got = [format_code(c) for c in catalog.enumerate_codes("BG.I.A")]
     assert got == ["BG.I.A.1", "BG.I.A.2", "BG.I.A.3", "BG.I.A.4", "BG.I.A.0"]

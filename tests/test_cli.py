@@ -3,11 +3,13 @@ from __future__ import annotations
 
 import io
 import json
+import re
 import shutil
 
 import pytest
 
 from conftest import FIXTURES, FIXTURE_IDS, load_fixture_record, scope_groups
+from taxidma import cli
 from taxidma.cli import run
 from taxidma.record import (
     BACKGROUND,
@@ -434,3 +436,63 @@ def test_help_and_version_exit_zero(capsys):
     assert run(["--version"]) == 0
     out = capsys.readouterr().out
     assert "taxidma" in out
+
+
+@pytest.fixture
+def fresh_parser_cache():
+    cli._shared_parser.cache_clear()
+    yield
+    cli._shared_parser.cache_clear()
+
+
+_STAMPS = re.compile(r"[0-9a-f]{8}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{4}-"
+                     r"[0-9a-f]{12}|\d{4}-\d\d-\d\dT[0-9:.]+Z")
+
+
+def test_a_reused_parser_answers_as_a_fresh_one(corpus_dir, capsys,
+                                                 fresh_parser_cache):
+    calls = [["stats", str(corpus_dir)],
+             ["stats", str(corpus_dir), "--group-by", "leaf"],
+             ["stats", str(corpus_dir), "--format", "csv"],
+             ["stats", str(corpus_dir), "--group-by", "category",
+              "--format", "json"],
+             ["stats", str(corpus_dir)],
+             ["to-stix", CANVA, "--deterministic"],
+             ["to-stix", CANVA],
+             ["--version"], ["--help"], ["stats", "--help"],
+             ["stats", str(corpus_dir), "--group-by", "nope"],
+             ["stats"], []]
+
+    def answer(argv):
+        status = run(argv)
+        out, err = capsys.readouterr()
+        if argv == ["to-stix", CANVA]:  # random ids and the current time
+            out = _STAMPS.sub("*", out)
+        return status, out, err
+
+    reused = [answer(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli._shared_parser.cache_clear()
+        fresh.append(answer(argv))
+    assert reused == fresh
+    assert [status for status, _, _ in reused] == \
+        [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 2, 2]
+    deterministic, random_ids = reused[5][1], reused[6][1]
+    assert random_ids != deterministic
+    assert _STAMPS.sub("*", deterministic) == random_ids
+
+
+def test_stats_calls_build_the_parser_once(corpus_dir, capsys, monkeypatch,
+                                           fresh_parser_cache):
+    build_parser, built = cli.build_parser, []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    for group_by in ("item", "leaf", "category"):
+        assert run(["stats", str(corpus_dir), "--group-by", group_by]) == 0
+    assert len(built) == 1
+    capsys.readouterr()

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taxidma import record as record_module
-from taxidma.codes import TaxonomyCode, format_code
+from taxidma.codes import TaxonomyCode, format_code, parse_code
 from taxidma.errors import (
     BackgroundNotApplicableError,
     CodeSyntaxError,
@@ -209,6 +209,74 @@ def test_redundant_and_duplicate_selection_warnings(catalog):
     rules = Counter(v.rule for v in report.warnings)
     assert rules["redundant-selection"] == 2  # prefix pairs (1,2) and (1,3)
     assert rules["duplicate-selection"] == 1
+
+
+def _pairwise_warnings(application):
+    """The duplicate and redundant warnings of one scope as an all-pairs
+    comparison of its renderable codes gives them, in that order."""
+    codes = []
+    for selection in application.selections:
+        try:
+            format_code(selection.code)
+        except InvalidCodeError:
+            continue
+        codes.append(selection.code)
+    out = []
+    for i, a in enumerate(codes):
+        for b in codes[i + 1:]:
+            if a == b:
+                out.append(("duplicate-selection",
+                            f"{format_code(a)} is selected more than once"))
+            elif a.is_prefix_of(b) or b.is_prefix_of(a):
+                shallow, deep = (a, b) if a.is_prefix_of(b) else (b, a)
+                out.append(("redundant-selection",
+                            f"{format_code(shallow)} is already implied by "
+                            f"{format_code(deep)}"))
+    return out
+
+
+def _nesting_records(catalog):
+    """Generated records, the same with repeats and parents of their codes
+    mixed in, and hand-made scopes of near misses."""
+    rng = random.Random(20)
+    records = record_gen.record_batch(catalog, seed=20, count=150)
+    for record in record_gen.record_batch(catalog, seed=21, count=150):
+        for application in (record.background, *record.applications):
+            picks = [s.code for s in application.selections]
+            for code in rng.sample(picks, k=min(3, len(picks))):
+                extra = code.parent() if rng.random() < 0.5 else code
+                application.selections.insert(
+                    rng.randint(0, len(application.selections)),
+                    Selection(extra or code))
+        records.append(record)
+    hand = build_minimal(catalog)
+    ref = apply_taxonomy(hand, catalog, "UE", "u")
+    for code in ("UE.K.B.1", "UE.K.B.10", "UE.K.B.1.2", "UE.K.B.1",
+                 "UE.K.B", "UE.K", "UE", "IoT:UE.K.B.1.2",
+                 TaxonomyCode("UE", "K", "B", [1]),  # equal text, not ==
+                 TaxonomyCode("UE", "K", "B", [1, 2]),
+                 TaxonomyCode("UE", "K", "B", (-1,)),  # does not render
+                 "UE.K.BA", "UE.K.BA.1", "IoT", "IoT:UE"):
+        hand.applications[ref].selections.append(Selection(
+            code if isinstance(code, TaxonomyCode) else parse_code(code)))
+    for code in ("BG.K.R.4", "BG.K.R", "BG.K.R.40", "BG.K.R.4.1"):
+        hand.background.selections.append(Selection(parse_code(code)))
+    return records + [hand]
+
+
+def test_nesting_warnings_match_the_all_pairs_comparison(catalog):
+    nested = 0
+    for record in _nesting_records(catalog):
+        expected = [warning
+                    for application in (record.background,
+                                        *record.applications)
+                    for warning in _pairwise_warnings(application)]
+        got = [(v.rule, v.message)
+               for v in validate_record(record, catalog).violations
+               if v.rule in ("duplicate-selection", "redundant-selection")]
+        assert got == expected, record.record_id
+        nested += bool(expected)
+    assert nested > 150
 
 
 def test_validation_is_permutation_invariant(catalog):

@@ -412,6 +412,27 @@ def test_summary_format_pins_parsing_and_texts(tmp_path, bundled_catalog):
     assert PINNED_SUMMARIES.get(corpus_module._SUMMARY_FORMAT) == digest
 
 
+def test_warm_summary_queries_parse_no_code(corpus, bundled_catalog,
+                                            monkeypatch):
+    import taxidma
+    compute_stats(corpus, bundled_catalog)  # writes the summary
+    parse_code, parsed = taxidma.codes.parse_code, []
+
+    def counting_parse_code(*args, **kwargs):
+        parsed.append(args)
+        return parse_code(*args, **kwargs)
+
+    for module in vars(taxidma).values():
+        if getattr(module, "parse_code", None) is parse_code:
+            monkeypatch.setattr(module, "parse_code", counting_parse_code)
+    # Merging profiles can cut a code that only a profile declares down to
+    # a base code with no name; such misses parse, so they are left out.
+    for group_by in GROUPINGS:
+        report = compute_stats(corpus, bundled_catalog, group_by)
+        assert all(entry.name for entry in report.entries)
+    assert parsed == []
+
+
 def test_summary_survives_across_processes(corpus):
     # The cold run writes the summary; the warm run answers from it without
     # rewriting it, and both print the same bytes.
