@@ -149,6 +149,11 @@ class Catalog:
         # Canonical code text -> (taxonomy, category, item, leaf_chain).
         self._index: dict[str, tuple] = {}
         self._build_index()
+        # Per-code answers that record validation (``_item_facts``) and
+        # STIX emission (``_stix_plans``) store on first use.  Only codes
+        # that resolve enter them, so the index bounds their size.
+        self._item_facts: dict[str, tuple[str, bool, bool]] = {}
+        self._stix_plans: dict[tuple, object] = {}
 
     def _build_effective(self) -> None:
         for taxonomy in self.taxonomies:

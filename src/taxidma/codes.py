@@ -17,11 +17,16 @@ maps registered tokens back to their canonical spelling.
 
 A strict parse is one match of the whole grammar as a single pattern.  Text
 that pattern rejects, and every lenient parse, goes through a token scanner
-that reports the offset of the first offending character.
+that reports the offset of the first offending character.  A strict parse
+of an exact ``str`` is memoized: parsing the same text again returns the
+same immutable :class:`TaxonomyCode`.  The memo holds at most
+``_MEMO_SIZE`` texts of at most ``_MEMO_TEXT_MAX`` characters each, and is
+emptied when full.
 """
 from __future__ import annotations
 
 import re
+import threading
 from dataclasses import dataclass, field
 
 from .errors import CodeSyntaxError, EmptyInputError, InvalidCodeError
@@ -51,6 +56,13 @@ _STRICT_RE = re.compile(
     rf"(?:({_PROFILE_ALT}):)?({_PROFILE_ALT}|{_TAX_RE.pattern})"
     rf"(?:\.({_CAT_RE.pattern})(?:\.({_ITEM_RE.pattern})"
     rf"((?:\.(?:{_NUM_RE.pattern}))*))?)?")
+
+# Bounds of the strict-parse memo: entries, and the longest text kept (the
+# bundled catalog's longest code text has 16 characters).
+_MEMO_SIZE = 2048
+_MEMO_TEXT_MAX = 32
+_MEMO: dict[str, TaxonomyCode] = {}  # strictly parsed text -> its code
+_MEMO_LOCK = threading.Lock()  # makes the size check and insert one step
 
 # Key in a TaxonomyCode's instance dict under which format_code caches the
 # canonical text once the grammar check has passed.
@@ -134,6 +146,9 @@ def parse_code(text: str, lenient: bool = False) -> TaxonomyCode:
     anything else the grammar rejects.
     """
     if not lenient and type(text) is str:
+        code = _MEMO.get(text)
+        if code is not None:
+            return code
         match = _STRICT_RE.fullmatch(text)
         if match is not None:
             profile, taxonomy, category, item, leaves = match.groups()
@@ -149,6 +164,11 @@ def parse_code(text: str, lenient: bool = False) -> TaxonomyCode:
                 # Strictly parsed text is already canonical: seed
                 # format_code's cache.
                 code.__dict__[_TEXT] = text
+                if len(text) <= _MEMO_TEXT_MAX:
+                    with _MEMO_LOCK:
+                        if len(_MEMO) >= _MEMO_SIZE:
+                            _MEMO.clear()
+                        _MEMO[text] = code
                 return code
     return _scan(text, lenient)
 

@@ -194,73 +194,92 @@ def _scope_path(scope: int, index: int | None = None) -> str:
     return f"{base}.selections[{index}]"
 
 
+def _item_facts(catalog: Catalog, code: TaxonomyCode,
+                text: str) -> tuple[str, bool, bool]:
+    """(item kind, free_text required, whole item that has leaves) of an
+    item-depth or deeper code whose canonical text is ``text``.
+
+    Read from the catalog's table, filled here on first use; a code that
+    does not resolve raises :class:`UnknownPathError` and is not stored.
+    """
+    facts = catalog._item_facts.get(text)
+    if facts is None:
+        _, _, item, chain = catalog.resolve(code)
+        facts = catalog._item_facts[text] = (
+            item.kind, item.kind in ("free_text", "external_reference"),
+            not chain and bool(item.leaves) and item.kind == "enumerated")
+    return facts
+
+
 def _validate_application(catalog: Catalog, scope: int,
                           application: TaxonomyApplication,
                           out: list[RecordViolation]) -> None:
-    def err(rule: str, path: str, message: str) -> None:
-        out.append(RecordViolation("error", rule, path, message))
+    # ``index`` is a selection's position, or None for the whole scope.
+    def err(rule: str, index: int | None, message: str) -> None:
+        out.append(RecordViolation("error", rule, _scope_path(scope, index),
+                                   message))
 
-    def warn(rule: str, path: str, message: str) -> None:
-        out.append(RecordViolation("warning", rule, path, message))
+    def warn(rule: str, index: int | None, message: str) -> None:
+        out.append(RecordViolation("warning", rule,
+                                   _scope_path(scope, index), message))
 
     taxonomy = application.taxonomy
     tax_ok = False
     renders = True  # a taxonomy code that breaks the grammar has no text
     try:
         if taxonomy.depth != 0:
-            err("application-taxonomy", _scope_path(scope),
+            err("application-taxonomy", None,
                 f"{format_code(taxonomy)} is not taxonomy-granularity")
         else:
             catalog.resolve(taxonomy)
             tax_ok = True
     except UnknownPathError as exc:
-        err("application-taxonomy", _scope_path(scope), str(exc))
+        err("application-taxonomy", None, str(exc))
     except InvalidCodeError as exc:
-        err("invalid-code", _scope_path(scope), str(exc))
+        err("invalid-code", None, str(exc))
         renders = False
     if scope == BACKGROUND:
         if taxonomy.taxonomy != "BG" and renders:
-            err("background-taxonomy", _scope_path(scope),
+            err("background-taxonomy", None,
                 f"background must use BG, got {format_code(taxonomy)}")
     elif taxonomy.taxonomy == "BG":
-        err("application-taxonomy", _scope_path(scope),
+        err("application-taxonomy", None,
             "BG is the background taxonomy; it is not repeatable")
 
     codes: list[TaxonomyCode] = []  # the selection codes that render
     texts: list[str] = []  # and their canonical texts
     for index, selection in enumerate(application.selections):
-        path = _scope_path(scope, index)
         try:
             code_text = format_code(selection.code)
         except InvalidCodeError as exc:
-            err("invalid-code", path, str(exc))
+            err("invalid-code", index, str(exc))
             continue
         codes.append(selection.code)
         texts.append(code_text)
         if tax_ok and (selection.code.profile, selection.code.taxonomy) != (
                 taxonomy.profile, taxonomy.taxonomy):
-            err("selection-taxonomy-mismatch", path,
+            err("selection-taxonomy-mismatch", index,
                 f"{code_text} does not belong to {format_code(taxonomy)}")
             continue
         if selection.code.depth < 2:
-            err("selection-too-shallow", path,
+            err("selection-too-shallow", index,
                 f"{code_text} stops above item granularity")
             continue
         try:
-            _, _, item, chain = catalog.resolve(selection.code)
+            kind, needs_text, whole_item = _item_facts(
+                catalog, selection.code, code_text)
         except UnknownPathError as exc:
-            err("unresolvable-code", path, str(exc))
+            err("unresolvable-code", index, str(exc))
             continue
-        needs_text = item.kind in ("free_text", "external_reference")
         if needs_text and not selection.free_text:
-            err("free-text-required", path,
-                f"{code_text} is a {item.kind} item; free_text is required")
+            err("free-text-required", index,
+                f"{code_text} is a {kind} item; free_text is required")
         if not needs_text and selection.free_text is not None:
-            err("free-text-not-allowed", path,
+            err("free-text-not-allowed", index,
                 f"{code_text} enumerates fixed leaves; free_text is not "
                 "allowed")
-        if not chain and item.leaves and item.kind == "enumerated":
-            warn("item-level-selection", path,
+        if whole_item:
+            warn("item-level-selection", index,
                  f"{code_text} selects a whole item that has leaves; "
                  "pick a leaf when one fits")
 
@@ -273,23 +292,23 @@ def _validate_application(catalog: Catalog, scope: int,
         for i, a in enumerate(codes):
             for b in codes[i + 1:]:
                 if a == b:
-                    warn("duplicate-selection", _scope_path(scope),
+                    warn("duplicate-selection", None,
                          f"{format_code(a)} is selected more than once")
                 elif a.is_prefix_of(b) or b.is_prefix_of(a):
                     shallow, deep = (a, b) if a.is_prefix_of(b) else (b, a)
-                    warn("redundant-selection", _scope_path(scope),
+                    warn("redundant-selection", None,
                          f"{format_code(shallow)} is already implied by "
                          f"{format_code(deep)}")
 
     if scope == BACKGROUND:
         if not application.selections:
-            warn("empty-background", _scope_path(scope),
+            warn("empty-background", None,
                  "the background has no selections")
         elif not any(s.code.category == "K" for s in application.selections):
-            warn("background-missing-attack", _scope_path(scope),
+            warn("background-missing-attack", None,
                  "the background does not describe the attack (K)")
     elif not application.selections and renders:
-        warn("empty-application", _scope_path(scope),
+        warn("empty-application", None,
              f"{format_code(taxonomy)} application has no selections")
 
 

@@ -391,16 +391,48 @@ class _Scope:
     # The first mapped attack-category (K.G) code: the indicator's pattern.
     indicator_code: str | None = None
 
-    def map(self, code: TaxonomyCode, free_text: str | None) -> None:
-        text = format_code(code)
-        self.mapped.append((self.tag, self.tax_key, text, free_text))
-        if self.indicator_code is None and (code.category, code.item) == (
-                "K", "G"):
-            self.indicator_code = text
-
     def tokens(self, prop: str) -> list[str]:
         return next((tokens for slot, tokens in self.values.items()
                      if slot.prop == prop), [])
+
+
+# What a selection becomes in STIX: one of these two, or (slot, token).
+_UNMAPPED, _VULNERABILITY = "unmapped", "vulnerability"
+
+
+def _plan(catalog: Catalog, where: str, tax_key: str, code: TaxonomyCode,
+          text: str):
+    """The STIX plan of a selection of a valid record, read from the
+    catalog's table, which this fills on first use."""
+    key = (where, tax_key, text)
+    plan = catalog._stix_plans.get(key)
+    if plan is not None:
+        return plan
+    _, _, item, _ = catalog.resolve(code)
+    if item.kind in ("free_text", "external_reference"):
+        plan = _VULNERABILITY if where == _BG and code.category == "K" \
+            else _UNMAPPED
+    else:
+        slot = next((slot for slot in _SLOTS_AT.get(
+            (where, code.category, code.item), ())
+            if code.leaf_path[:len(slot.prefix)] == slot.prefix), None)
+        plan = _UNMAPPED if slot is None else (
+            slot, catalog.vocabulary.token_for(tax_key, code.category,
+                                               code.item, slot.prefix, text))
+    catalog._stix_plans[key] = plan
+    return plan
+
+
+def _sector_property(catalog: Catalog, tax_key: str) -> str:
+    """``sector`` or ``domain``: the display name of the taxonomy's T.S
+    item, kept in the plan table under the taxonomy key."""
+    prop = catalog._stix_plans.get(tax_key)
+    if prop is None:
+        profile, _, tax = tax_key.rpartition(":")
+        prop = catalog.lookup(TaxonomyCode(
+            tax, "T", "S", profile=profile or None)).name.lower()
+        catalog._stix_plans[tax_key] = prop
+    return prop
 
 
 def _collect_scope(catalog: Catalog, scope_index: int | None,
@@ -418,27 +450,32 @@ def _collect_scope(catalog: Catalog, scope_index: int | None,
     where = _BG if is_background else _APP
     for selection in application.selections:
         code = selection.code
-        _, _, item, _ = catalog.resolve(code)
-        if item.kind in ("free_text", "external_reference"):
-            if is_background and code.category == "K":
-                scope.vulnerabilities.append(selection)
-                scope.map(code, selection.free_text)
+        text = format_code(code)
+        plan = _plan(catalog, where, tax_key, code, text)
+        if plan is _UNMAPPED:
             continue
-        slot = next((slot for slot in _SLOTS_AT.get(
-            (where, code.category, code.item), ())
-            if code.leaf_path[:len(slot.prefix)] == slot.prefix), None)
-        if slot is None:
-            continue
-        token = catalog.vocabulary.token_for(tax_key, code.category, code.item,
-                                             slot.prefix, format_code(code))
-        scope.values.setdefault(slot, []).append(token)
-        scope.filled.add(slot.object_type)
-        scope.map(code, selection.free_text)
+        if plan is _VULNERABILITY:
+            scope.vulnerabilities.append(selection)
+        else:
+            slot, token = plan
+            scope.values.setdefault(slot, []).append(token)
+            scope.filled.add(slot.object_type)
+        scope.mapped.append((scope.tag, tax_key, text, selection.free_text))
+        if scope.indicator_code is None and (code.category, code.item) == (
+                "K", "G"):
+            scope.indicator_code = text
     return scope
 
 
-def _collect_scopes(catalog: Catalog, record: AttackRecord) -> list[_Scope]:
-    """The background's scope, then one per application."""
+def _checked_scopes(catalog: Catalog, record: AttackRecord,
+                    problem: str) -> list[_Scope]:
+    """The background's scope, then one per application, of a record that
+    validates; :class:`InvalidRecordError` saying ``problem`` otherwise."""
+    report = validate_record(record, catalog)
+    if not report.ok:
+        raise InvalidRecordError(
+            f"record {record.record_id} {problem} with "
+            f"{len(report.errors)} validation error(s)", report)
     return [_collect_scope(catalog, None, record.background)] + [
         _collect_scope(catalog, index, application)
         for index, application in enumerate(record.applications)]
@@ -450,9 +487,13 @@ def mapped_selections(record: AttackRecord, catalog: Catalog
     STIX mapping carries; everything else is record-file-only.  The
     round-trip contract is over this list grouped by scope tag: the same
     scopes (up to application renumbering) holding the same multisets of
-    (taxonomy key, code, free_text)."""
-    return [entry for scope in _collect_scopes(catalog, record)
-            for entry in scope.mapped]
+    (taxonomy key, code, free_text).
+
+    Raises :class:`InvalidRecordError` when the record has validation
+    errors.
+    """
+    return [entry for scope in _checked_scopes(
+        catalog, record, "cannot be mapped") for entry in scope.mapped]
 
 
 # -- emission -----------------------------------------------------------------
@@ -546,11 +587,8 @@ def to_stix(record: AttackRecord, catalog: Catalog,
     errors.
     """
     options = options or EmissionOptions()
-    report = validate_record(record, catalog)
-    if not report.ok:
-        raise InvalidRecordError(
-            f"record {record.record_id} cannot be serialized with "
-            f"{len(report.errors)} validation error(s)", report)
+    scopes = _checked_scopes(catalog, record, "cannot be serialized")
+    background = scopes[0]
 
     mint = _IdMint(record.record_id, options.deterministic_ids)
     stamp = _stamp(record.created)
@@ -560,9 +598,6 @@ def to_stix(record: AttackRecord, catalog: Catalog,
                             record.title)
     incident["description"] = record.description
     objects.append(incident)
-
-    scopes = _collect_scopes(catalog, record)
-    background = scopes[0]
 
     relationships: list[tuple[str, str, str]] = []
 
@@ -583,12 +618,10 @@ def to_stix(record: AttackRecord, catalog: Catalog,
         actor_id = emit("threat-actor", background, "record",
                         record.title)["id"]
     if "targeted-organization" in background.filled:
-        # The item's display name picks the property: Sector or Domain.
-        profile, _, tax = background.tax_key.rpartition(":")
-        sector_item = catalog.lookup(TaxonomyCode(tax, "T", "S",
-                                                  profile=profile or None))
         org_id = emit("targeted-organization", background, "record",
-                      record.title, {"sector": sector_item.name.lower()})["id"]
+                      record.title,
+                      {"sector": _sector_property(catalog,
+                                                  background.tax_key)})["id"]
     if "intrusion-set" in background.filled:
         set_id = emit("intrusion-set", background, "record",
                       record.title)["id"]

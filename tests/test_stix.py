@@ -323,6 +323,18 @@ def test_mapped_selections_skips_record_file_only_locations(bundled_catalog):
         [("BG.A.T.2.5", "BG")]
 
 
+def test_mapped_selections_refuses_a_foreign_selection(bundled_catalog):
+    # A selection of another taxonomy has no plan: it is an error, not a
+    # KeyError from the vocabulary tables.
+    record = load_fixture_record("canva-2019")
+    assert record.applications[0].taxonomy.taxonomy_key == "UE"
+    add_selection(record, 0, "SI.T.L.1")
+    with pytest.raises(InvalidRecordError) as excinfo:
+        mapped_selections(record, bundled_catalog)
+    assert [v.rule for v in excinfo.value.report.errors] == \
+        ["selection-taxonomy-mismatch"]
+
+
 def test_unvalidated_records_are_refused(bundled_catalog):
     record = new_record("r-bad", "broken", "")
     add_selection(record, BACKGROUND, "BG.I.A.9")  # no such leaf
