@@ -149,11 +149,6 @@ class Catalog:
         # Canonical code text -> (taxonomy, category, item, leaf_chain).
         self._index: dict[str, tuple] = {}
         self._build_index()
-        # Per-code answers that record validation (``_item_facts``) and
-        # STIX emission (``_stix_plans``) store on first use.  Only codes
-        # that resolve enter them, so the index bounds their size.
-        self._item_facts: dict[str, tuple[str, bool, bool]] = {}
-        self._stix_plans: dict[tuple, object] = {}
 
     def _build_effective(self) -> None:
         for taxonomy in self.taxonomies:
@@ -266,12 +261,14 @@ class Catalog:
         elements are None/empty for shallow codes.  Raises
         :class:`InvalidCodeError` for a structurally broken code and
         :class:`UnknownPathError` carrying the longest prefix that resolved.
+        A canonical text, or a code that renders to one, is one index read;
+        anything else is parsed only to explain the miss.
         """
-        parsed = self._as_code(code)
-        text = format_code(parsed)
-        entry = self._index.get(text)
+        entry = self._index.get(
+            code if isinstance(code, str) else format_code(code))
         if entry is None:
-            raise self._miss(parsed, text)
+            parsed = self._as_code(code)
+            raise self._miss(parsed, format_code(parsed))
         return entry
 
     def _miss(self, code: TaxonomyCode, text: str) -> UnknownPathError:
@@ -345,7 +342,7 @@ class Catalog:
 
     def enumerate_codes(self, prefix: TaxonomyCode | str | None = None
                         ) -> Iterator[TaxonomyCode]:
-        """Yield every leaf-granularity code, depth first.
+        """Yield every leaf-granularity code, depth first, in index order.
 
         With a prefix, yields the leaf codes inside that subtree (a leaf
         prefix yields itself and its descendants).  Without one, covers the
@@ -353,41 +350,18 @@ class Catalog:
         actually changes.
         """
         if prefix is None:
-            for taxonomy in self.taxonomies:
-                yield from self.enumerate_codes(TaxonomyCode(taxonomy.code))
-            for profile_code, tax_code in self.profile_pairs():
-                yield from self.enumerate_codes(
-                    TaxonomyCode(tax_code, profile=profile_code))
-            return
-
-        parsed = self._as_code(prefix)
-        taxonomy, category, item, chain = self.resolve(parsed)
-        if category is None:
-            for cat in taxonomy.categories:
-                yield from self.enumerate_codes(
-                    TaxonomyCode(parsed.taxonomy, cat.code,
-                                 profile=parsed.profile))
-            return
-        if item is None:
-            for itm in self.effective_items(parsed.profile, parsed.taxonomy,
-                                            parsed.category):
-                yield from self.enumerate_codes(
-                    TaxonomyCode(parsed.taxonomy, parsed.category, itm.code,
-                                 profile=parsed.profile))
-            return
-        if chain:
-            yield parsed
-        yield from _leaf_codes(parsed, chain[-1].children if chain
-                               else item.leaves)
-
-
-def _leaf_codes(code: TaxonomyCode, leaves: tuple[Leaf, ...]
-                ) -> Iterator[TaxonomyCode]:
-    """Yield the code of every leaf under ``code``, depth first."""
-    for leaf in leaves:
-        deeper = code.with_leaf(leaf.number)
-        yield deeper
-        yield from _leaf_codes(deeper, leaf.children)
+            roots = {taxonomy.code for taxonomy in self.taxonomies}
+            roots.update(f"{p}:{t}" for p, t in self.profile_pairs())
+            texts = [text for text in self._index
+                     if text.partition(".")[0] in roots]
+        else:
+            self.resolve(prefix)  # an unknown prefix raises
+            head = prefix if isinstance(prefix, str) else format_code(prefix)
+            texts = [text for text in self._index
+                     if text == head or text.startswith(head + ".")]
+        for text in texts:
+            if self._index[text][3]:
+                yield parse_code(text)
 
 
 # -- loading ----------------------------------------------------------------

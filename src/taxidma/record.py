@@ -194,23 +194,6 @@ def _scope_path(scope: int, index: int | None = None) -> str:
     return f"{base}.selections[{index}]"
 
 
-def _item_facts(catalog: Catalog, code: TaxonomyCode,
-                text: str) -> tuple[str, bool, bool]:
-    """(item kind, free_text required, whole item that has leaves) of an
-    item-depth or deeper code whose canonical text is ``text``.
-
-    Read from the catalog's table, filled here on first use; a code that
-    does not resolve raises :class:`UnknownPathError` and is not stored.
-    """
-    facts = catalog._item_facts.get(text)
-    if facts is None:
-        _, _, item, chain = catalog.resolve(code)
-        facts = catalog._item_facts[text] = (
-            item.kind, item.kind in ("free_text", "external_reference"),
-            not chain and bool(item.leaves) and item.kind == "enumerated")
-    return facts
-
-
 def _validate_application(catalog: Catalog, scope: int,
                           application: TaxonomyApplication,
                           out: list[RecordViolation]) -> None:
@@ -266,19 +249,19 @@ def _validate_application(catalog: Catalog, scope: int,
                 f"{code_text} stops above item granularity")
             continue
         try:
-            kind, needs_text, whole_item = _item_facts(
-                catalog, selection.code, code_text)
+            _, _, item, chain = catalog.resolve(code_text)
         except UnknownPathError as exc:
             err("unresolvable-code", index, str(exc))
             continue
+        needs_text = item.kind in ("free_text", "external_reference")
         if needs_text and not selection.free_text:
             err("free-text-required", index,
-                f"{code_text} is a {kind} item; free_text is required")
+                f"{code_text} is a {item.kind} item; free_text is required")
         if not needs_text and selection.free_text is not None:
             err("free-text-not-allowed", index,
                 f"{code_text} enumerates fixed leaves; free_text is not "
                 "allowed")
-        if whole_item:
+        if not chain and item.leaves and item.kind == "enumerated":
             warn("item-level-selection", index,
                  f"{code_text} selects a whole item that has leaves; "
                  "pick a leaf when one fits")

@@ -307,6 +307,8 @@ class VocabularyTables:
     def __init__(self, catalog: Catalog):
         self.catalog = catalog
         self._cache: dict[tuple, tuple[dict, dict]] = {}
+        # (scope kind, canonical text) -> plan, filled by ``_plan``.
+        self._plans: dict[tuple[str, str], object] = {}
 
     def _build(self, tax_key: str, category: str, item_code: str,
                prefix: tuple[int, ...]) -> tuple[dict, dict]:
@@ -402,13 +404,14 @@ _UNMAPPED, _VULNERABILITY = "unmapped", "vulnerability"
 
 def _plan(catalog: Catalog, where: str, tax_key: str, code: TaxonomyCode,
           text: str):
-    """The STIX plan of a selection of a valid record, read from the
-    catalog's table, which this fills on first use."""
-    key = (where, tax_key, text)
-    plan = catalog._stix_plans.get(key)
+    """The STIX plan of a selection of a valid record, memoized on the
+    catalog's vocabulary tables.  In a valid record the canonical text
+    already fixes the taxonomy key."""
+    vocabulary = catalog.vocabulary
+    plan = vocabulary._plans.get((where, text))
     if plan is not None:
         return plan
-    _, _, item, _ = catalog.resolve(code)
+    _, _, item, _ = catalog.resolve(text)
     if item.kind in ("free_text", "external_reference"):
         plan = _VULNERABILITY if where == _BG and code.category == "K" \
             else _UNMAPPED
@@ -417,22 +420,10 @@ def _plan(catalog: Catalog, where: str, tax_key: str, code: TaxonomyCode,
             (where, code.category, code.item), ())
             if code.leaf_path[:len(slot.prefix)] == slot.prefix), None)
         plan = _UNMAPPED if slot is None else (
-            slot, catalog.vocabulary.token_for(tax_key, code.category,
-                                               code.item, slot.prefix, text))
-    catalog._stix_plans[key] = plan
+            slot, vocabulary.token_for(tax_key, code.category, code.item,
+                                       slot.prefix, text))
+    vocabulary._plans[where, text] = plan
     return plan
-
-
-def _sector_property(catalog: Catalog, tax_key: str) -> str:
-    """``sector`` or ``domain``: the display name of the taxonomy's T.S
-    item, kept in the plan table under the taxonomy key."""
-    prop = catalog._stix_plans.get(tax_key)
-    if prop is None:
-        profile, _, tax = tax_key.rpartition(":")
-        prop = catalog.lookup(TaxonomyCode(
-            tax, "T", "S", profile=profile or None)).name.lower()
-        catalog._stix_plans[tax_key] = prop
-    return prop
 
 
 def _collect_scope(catalog: Catalog, scope_index: int | None,
@@ -620,8 +611,8 @@ def to_stix(record: AttackRecord, catalog: Catalog,
     if "targeted-organization" in background.filled:
         org_id = emit("targeted-organization", background, "record",
                       record.title,
-                      {"sector": _sector_property(catalog,
-                                                  background.tax_key)})["id"]
+                      {"sector": catalog.resolve(
+                          f"{background.tax_key}.T.S")[2].name.lower()})["id"]
     if "intrusion-set" in background.filled:
         set_id = emit("intrusion-set", background, "record",
                       record.title)["id"]

@@ -228,6 +228,11 @@ def test_first_of_repeated_siblings_wins_in_a_directly_built_catalog():
         with pytest.raises(UnknownPathError) as exc:
             built.resolve(text)
         assert exc.value.resolved_prefix == prefix
+    # Enumeration reads the index too: no repeats, no unresolvable codes.
+    enumerated = [format_code(c) for c in built.enumerate_codes()]
+    assert enumerated == ["BG.A.T.1"]
+    for text in enumerated:
+        built.resolve(text)
 
 
 def test_lenient_parse_renders_canonical_text():
@@ -279,8 +284,8 @@ def test_full_name_table_matches_parsed_lookup():
         fresh.full_name("BG.I.A.1")
 
 
-# Each miss raises what it raised when full_name parsed and resolved every
-# argument.
+# Each miss raises what it raised when full_name, resolve and lookup parsed
+# every argument before reading the index.
 @pytest.mark.parametrize("code, error, message", [
     ("bg.i.a.1", "CodeSyntaxError", "expected taxonomy token (offset 0)"),
     ("BG.I.A.01", "CodeSyntaxError",
@@ -304,9 +309,11 @@ def test_full_name_table_matches_parsed_lookup():
     (["BG"], "AttributeError", "'list' object has no attribute 'profile'"),
 ])
 def test_full_name_misses_raise_as_before(catalog, code, error, message):
-    with pytest.raises(Exception) as exc:
-        catalog.full_name(code)
-    assert (type(exc.value).__name__, str(exc.value)) == (error, message)
+    for method in (catalog.full_name, catalog.resolve, catalog.lookup):
+        with pytest.raises(Exception) as exc:
+            method(code)
+        assert (type(exc.value).__name__, str(exc.value)) == \
+            (error, message), method.__name__
 
 
 def test_enumerate_item_order(catalog):

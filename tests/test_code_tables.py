@@ -1,5 +1,5 @@
 """The per-code memo and tables: the strict-parse memo in ``codes`` and the
-catalog's item-fact and STIX-plan tables.
+STIX plan memo on each catalog's vocabulary tables.
 
 They must change no output, whether cold or warm, stay bounded on any
 input, and spare the warm paths the work they were built to skip.
@@ -10,6 +10,7 @@ import hashlib
 import json
 import sys
 import threading
+from collections import Counter
 from importlib import resources
 
 import pytest
@@ -167,7 +168,8 @@ def _digest(records, catalog) -> tuple[str, list[bool]]:
 def test_tables_change_no_output_cold_or_warm(bundled_catalog, fresh_memo):
     records = list(_mutants(bundled_catalog))
     catalog = _fresh_catalog()
-    assert catalog._item_facts == {} and catalog._stix_plans == {}
+    plans = catalog.vocabulary._plans
+    assert plans == {}
     cold, valid = _digest(records, catalog)
     warm, _ = _digest(records, catalog)
     assert cold == warm == PINNED_OBSERVATIONS_DIGEST
@@ -179,41 +181,33 @@ def test_tables_change_no_output_cold_or_warm(bundled_catalog, fresh_memo):
                 mapped_selections(record, catalog)
             with pytest.raises(InvalidRecordError):
                 to_stix(record, catalog, DETERMINISTIC)
-    # Both tables hold only resolvable codes, each plan under the taxonomy
-    # key its code belongs to; the plan table also keeps one property name
-    # per taxonomy key.
-    assert catalog._item_facts
-    assert set(catalog._item_facts) <= set(catalog._index)
-    plans = [key for key in catalog._stix_plans if isinstance(key, tuple)]
+    # Plans are kept only for resolvable codes, at most one per scope kind.
     assert plans
-    for where, tax_key, text in plans:
-        assert text in catalog._index
-        assert parse_code(text).taxonomy_key == tax_key
-    names = [key for key in catalog._stix_plans if isinstance(key, str)]
-    assert names and set(names) <= set(catalog._index)
-    assert len(plans) <= 2 * len(catalog._index)
+    per_text = Counter(text for _, text in plans)
+    assert set(per_text) <= set(catalog._index)
+    assert max(per_text.values()) <= 2
 
 
 # -- warm paths ---------------------------------------------------------------
 
 
-def test_warm_emission_resolves_no_selection_code(bundled_catalog,
-                                                  monkeypatch):
+def test_warm_emission_builds_no_code_and_adds_no_plan(bundled_catalog,
+                                                       monkeypatch):
     records = [load_fixture_record(rid) for rid in FIXTURE_IDS]
-    for record in records:
-        to_stix(record, bundled_catalog, DETERMINISTIC)  # fills the tables
-    resolve, resolved = Catalog.resolve, []
+    bundles = [to_stix(record, bundled_catalog, DETERMINISTIC)
+               for record in records]  # fills the plan memo
+    plans = dict(bundled_catalog.vocabulary._plans)
+    init, built = TaxonomyCode.__init__, []
 
-    def counting_resolve(self, code):
-        resolved.append(code)
-        return resolve(self, code)
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(Catalog, "resolve", counting_resolve)
-    for record in records:
-        to_stix(record, bundled_catalog, DETERMINISTIC)
-    # Only the application taxonomies resolve, once per scope.
-    assert len(resolved) == sum(len(_applications(r)) for r in records)
-    assert all(code.depth == 0 for code in resolved)
+    monkeypatch.setattr(TaxonomyCode, "__init__", counting_init)
+    assert [to_stix(record, bundled_catalog, DETERMINISTIC)
+            for record in records] == bundles
+    assert built == []
+    assert bundled_catalog.vocabulary._plans == plans
 
 
 def test_warm_read_record_builds_no_code(fresh_memo, monkeypatch):

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taxidma import record as record_module
+from taxidma.catalog import Catalog
 from taxidma.codes import TaxonomyCode, format_code, parse_code
 from taxidma.errors import (
     BackgroundNotApplicableError,
@@ -626,3 +627,21 @@ def test_only_the_writer_calls_the_indenting_encoder():
                       if f.lineno <= node.lineno <= f.end_lineno]
             calls.append((path.name, owners))
     assert calls == [("record.py", ["_indented_json"])]
+
+
+def test_only_the_catalog_reads_its_private_attributes(bundled_catalog):
+    """Other modules reach the catalog through its methods: none of them
+    reads an ``_``-prefixed attribute that a ``Catalog`` instance or class
+    defines, so the index stays the one per-code table."""
+    bundled_catalog.full_name("BG")  # builds the lazy attributes as well
+    private = {name for name in (*vars(Catalog), *vars(bundled_catalog))
+               if name.startswith("_") and not name.startswith("__")}
+    assert {"_index", "_full_names"} <= private
+    uses = []
+    for path in sorted(Path(record_module.__file__).parent.glob("*.py")):
+        if path.name == "catalog.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        uses += [(path.name, node.lineno, node.attr) for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr in private]
+    assert uses == []
