@@ -133,6 +133,14 @@ def _checked_text(code: TaxonomyCode) -> str | None:
         return None
 
 
+def _first_by_code(nodes) -> dict:
+    """Code -> the first node declaring it, in declaration order."""
+    by_code = {}
+    for node in nodes:
+        by_code.setdefault(node.code, node)
+    return by_code
+
+
 class Catalog:
     """An immutable, indexed catalog."""
 
@@ -142,8 +150,8 @@ class Catalog:
         self.taxonomies = taxonomies
         self.profiles = profiles
         self.checksum = checksum
-        self._tax_by_code = {t.code: t for t in taxonomies}
-        self._profile_by_code = {p.code: p for p in profiles}
+        self._tax_by_code = _first_by_code(taxonomies)
+        self._profile_by_code = _first_by_code(profiles)
         self._effective: dict[tuple[str | None, str, str], tuple[Item, ...]] = {}
         self._build_effective()
         # Canonical code text -> (taxonomy, category, item, leaf_chain).
@@ -154,7 +162,7 @@ class Catalog:
         for taxonomy in self.taxonomies:
             for category in taxonomy.categories:
                 key = (None, taxonomy.code, category.code)
-                self._effective[key] = category.items
+                self._effective.setdefault(key, category.items)
         for profile in self.profiles:
             for taxonomy in self.taxonomies:
                 for category in taxonomy.categories:
@@ -170,8 +178,8 @@ class Catalog:
                         else:
                             items.append(ov.definition)
                     # Cache every combination so lookups never special-case.
-                    self._effective[(profile.code, taxonomy.code,
-                                     category.code)] = tuple(items)
+                    self._effective.setdefault((profile.code, taxonomy.code,
+                                                category.code), tuple(items))
 
     # -- basic access ------------------------------------------------------
 
@@ -193,23 +201,19 @@ class Catalog:
 
     def profile_pairs(self) -> list[tuple[str, str]]:
         """(profile, taxonomy) pairs where the profile changes the taxonomy."""
-        pairs = []
-        for profile in self.profiles:
-            touched = {ov.taxonomy for ov in profile.overrides}
-            for taxonomy in self.taxonomies:
-                if taxonomy.code in touched:
-                    pairs.append((profile.code, taxonomy.code))
-        return pairs
+        return [(profile.code, taxonomy.code) for profile in self.profiles
+                for taxonomy in self.taxonomies if any(
+                    ov.taxonomy == taxonomy.code for ov in profile.overrides)]
 
     # -- resolution --------------------------------------------------------
 
     def _build_index(self) -> None:
         """Map the canonical text of every resolvable code to its node chain.
 
-        Covers every taxonomy plain and under every profile.  Where a
-        directly built catalog repeats a code among siblings, the first
-        declaration wins, as the code names it; nodes whose tokens break
-        the grammar are left out, since no valid code can name them.
+        Covers every taxonomy plain and under every profile, depth first.
+        Where a directly built catalog repeats a code (of siblings, of
+        taxonomies or of profiles), the first declaration wins, as the code
+        names it; nodes whose tokens break the grammar are left out.
         """
         index = self._index
         for profile in (None, *self._profile_by_code):
@@ -249,11 +253,6 @@ class Catalog:
             self._index[text] = (*nodes, deeper)
             self._index_leaves(text, nodes, deeper, leaf.children)
 
-    def _as_code(self, code: TaxonomyCode | str) -> TaxonomyCode:
-        if isinstance(code, str):
-            return parse_code(code)
-        return code
-
     def resolve(self, code: TaxonomyCode | str):
         """Resolve a code to its node chain.
 
@@ -267,7 +266,7 @@ class Catalog:
         entry = self._index.get(
             code if isinstance(code, str) else format_code(code))
         if entry is None:
-            parsed = self._as_code(code)
+            parsed = parse_code(code) if isinstance(code, str) else code
             raise self._miss(parsed, format_code(parsed))
         return entry
 
@@ -298,7 +297,7 @@ class Catalog:
 
     def lookup(self, code: TaxonomyCode | str) -> CatalogNode:
         """Resolve a code and describe the node it names."""
-        parsed = self._as_code(code)
+        parsed = parse_code(code) if isinstance(code, str) else code
         taxonomy, category, item, chain = self.resolve(parsed)
         if category is None:
             return CatalogNode(parsed, taxonomy.name, "taxonomy",
@@ -338,13 +337,33 @@ class Catalog:
             self.resolve(code)  # raises the error that explains the miss
         return name
 
-    # -- enumeration -------------------------------------------------------
+    # -- subtrees and enumeration ----------------------------------------
+
+    @cached_property
+    def _positions(self) -> tuple[list, dict[str, int]]:
+        """The index entries in order, and each text's position among them."""
+        entries = list(self._index.items())
+        return entries, {text: pos for pos, (text, _) in enumerate(entries)}
+
+    def subtree(self, code: TaxonomyCode | str) -> list[tuple[str, tuple]]:
+        """``(text, resolve(text))`` for ``code`` and every indexed code
+        under it, in index order: one run of the index, which is filled
+        depth first.  An unknown code raises what :meth:`resolve` raises."""
+        entries, positions = self._positions
+        text = code if isinstance(code, str) else format_code(code)
+        start = positions.get(text)
+        if start is None:
+            self.resolve(code)  # raises the error that explains the miss
+        end, inside = start + 1, text + "."
+        while end < len(entries) and entries[end][0].startswith(inside):
+            end += 1
+        return entries[start:end]
 
     def enumerate_codes(self, prefix: TaxonomyCode | str | None = None
                         ) -> Iterator[TaxonomyCode]:
         """Yield every leaf-granularity code, depth first, in index order.
 
-        With a prefix, yields the leaf codes inside that subtree (a leaf
+        With a prefix, yields the leaf codes of its :meth:`subtree` (a leaf
         prefix yields itself and its descendants).  Without one, covers the
         base taxonomies followed by every profile/taxonomy pair the profile
         actually changes.
@@ -352,15 +371,12 @@ class Catalog:
         if prefix is None:
             roots = {taxonomy.code for taxonomy in self.taxonomies}
             roots.update(f"{p}:{t}" for p, t in self.profile_pairs())
-            texts = [text for text in self._index
-                     if text.partition(".")[0] in roots]
+            entries = [(text, entry) for text, entry in self._index.items()
+                       if text.partition(".")[0] in roots]
         else:
-            self.resolve(prefix)  # an unknown prefix raises
-            head = prefix if isinstance(prefix, str) else format_code(prefix)
-            texts = [text for text in self._index
-                     if text == head or text.startswith(head + ".")]
-        for text in texts:
-            if self._index[text][3]:
+            entries = self.subtree(prefix)
+        for text, (_, _, _, chain) in entries:
+            if chain:
                 yield parse_code(text)
 
 

@@ -95,15 +95,6 @@ class TaxonomyCode:
         """Taxonomy with profile qualifier, e.g. ``IoT:SI`` or plain ``BG``."""
         return f"{self.profile}:{self.taxonomy}" if self.profile else self.taxonomy
 
-    def with_leaf(self, number: int) -> TaxonomyCode:
-        """The code one leaf level deeper."""
-        if self.item is None:
-            raise InvalidCodeError("leaf numbers require an item segment")
-        return TaxonomyCode(
-            self.taxonomy, self.category, self.item,
-            self.leaf_path + (number,), self.profile,
-        )
-
     def parent(self) -> TaxonomyCode | None:
         """The code one level up, or None at taxonomy level."""
         if self.leaf_path:

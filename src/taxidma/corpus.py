@@ -272,11 +272,18 @@ def _group_codes(records: Iterable[AttackRecord], depth: int,
         yield [_cut(text, depth, merge_profiles) for text in texts]
 
 
-def _full_name(catalog: Catalog, code_text: str) -> str:
+def _full_name(catalog: Catalog, code_text: str, merge_profiles: bool) -> str:
     try:
         return catalog.full_name(code_text)
     except (CodeSyntaxError, UnknownPathError):
-        return ""
+        if not merge_profiles:
+            return ""
+    for profile in catalog.profiles:
+        try:
+            return catalog.full_name(f"{profile.code}:{code_text}")
+        except (CodeSyntaxError, UnknownPathError):
+            pass
+    return ""
 
 
 def compute_stats(records: Iterable[AttackRecord], catalog: Catalog,
@@ -288,7 +295,9 @@ def compute_stats(records: Iterable[AttackRecord], catalog: Catalog,
     record contributes one count per distinct group code unless
     ``count_selections`` switches to raw selection counts.
     ``merge_profiles`` folds profile-qualified codes into their base
-    taxonomy.  Entries come back sorted by count (descending), then code.
+    taxonomy; a code only profiles declare then takes its full name under
+    the first of them in catalog order, and a code nothing declares gets
+    ``""``.  Entries come back sorted by count (descending), then code.
 
     Group codes are cut from each selection's canonical text, so a
     selection whose code breaks the grammar (an in-memory code with leaf
@@ -307,7 +316,7 @@ def compute_stats(records: Iterable[AttackRecord], catalog: Catalog,
             counts[code] = counts.get(code, 0) + 1
     total = selection_total if count_selections else record_total
     entries = tuple(sorted(
-        (StatsEntry(code, _full_name(catalog, code), count,
+        (StatsEntry(code, _full_name(catalog, code, merge_profiles), count,
                     Fraction(count, total) if total else Fraction(0))
          for code, count in counts.items()),
         key=lambda entry: (-entry.count, entry.code)))

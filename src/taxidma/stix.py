@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import re
 import uuid
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from hashlib import sha1
 
-from .catalog import Catalog, Leaf
+from .catalog import Catalog
 from .codes import TaxonomyCode, format_code, parse_code
 from .errors import (
     CodeSyntaxError,
@@ -302,7 +303,10 @@ def _hyphenate(name: str) -> str:
 class VocabularyTables:
     """Per-location token tables with parent-prefix disambiguation.
 
-    One instance lives on each catalog, as :attr:`Catalog.vocabulary`."""
+    A location's table reads its subtree of the catalog index
+    (:meth:`Catalog.subtree`): code texts from the keys, leaf names from
+    each entry's chain.  One instance lives on each catalog, as
+    :attr:`Catalog.vocabulary`."""
 
     def __init__(self, catalog: Catalog):
         self.catalog = catalog
@@ -313,49 +317,29 @@ class VocabularyTables:
     def _build(self, tax_key: str, category: str, item_code: str,
                prefix: tuple[int, ...]) -> tuple[dict, dict]:
         profile, _, tax = tax_key.rpartition(":")
-        base = TaxonomyCode(tax, category, item_code, prefix,
-                            profile or None)
-        _, _, item, chain = self.catalog.resolve(base)
-        roots: tuple[Leaf, ...] = chain[-1].children if chain else item.leaves
-
-        entries: list[tuple[str, str, list[str]]] = []  # code, token, parents
-
-        def walk(code: TaxonomyCode, leaves: tuple[Leaf, ...],
-                 parents: list[str]):
-            for leaf in leaves:
-                deeper = code.with_leaf(leaf.number)
-                entries.append((format_code(deeper), _hyphenate(leaf.name),
-                                list(parents)))
-                walk(deeper, leaf.children, [leaf.name] + parents)
-
-        walk(base, roots, [])
-
-        tokens = {code: token for code, token, _ in entries}
-        chains = {code: parents for code, _, parents in entries}
+        # As a code, so a bad marker raises InvalidCodeError or UnknownPathError.
+        (base, (*_, top)), *run = self.catalog.subtree(TaxonomyCode(
+            tax, category, item_code, prefix, profile or None))
+        tokens = {code: _hyphenate(chain[-1].name) for code, (*_, chain) in run}
+        # The leaf tokens between each code and the location, nearest last.
+        parents = {code: [_hyphenate(leaf.name)
+                          for leaf in chain[len(top):-1]]
+                   for code, (*_, chain) in run}
         while True:
-            groups: dict[str, list[str]] = {}
-            for code, token in tokens.items():
-                groups.setdefault(token, []).append(code)
-            clashing = {t: cs for t, cs in groups.items() if len(cs) > 1
-                        or t == UNSPECIFIED}
+            counts = Counter(tokens.values())
+            clashing = [code for code, token in tokens.items()
+                        if counts[token] > 1 or token == UNSPECIFIED]
             if not clashing:
                 break
-            progress = False
-            for codes in clashing.values():
-                for code in codes:
-                    if chains[code]:
-                        parent = chains[code].pop(0)
-                        tokens[code] = f"{_hyphenate(parent)}-{tokens[code]}"
-                        progress = True
-            if not progress:
+            if not any(parents[code] for code in clashing):
                 raise InvalidRecordError(
-                    f"cannot derive distinct vocabulary tokens under "
-                    f"{format_code(base)}")
+                    f"cannot derive distinct vocabulary tokens under {base}")
+            for code in clashing:
+                if parents[code]:
+                    tokens[code] = f"{parents[code].pop()}-{tokens[code]}"
 
-        code_to_token = {format_code(base): UNSPECIFIED}
-        code_to_token.update(tokens)
-        token_to_code = {token: code for code, token in code_to_token.items()}
-        return code_to_token, token_to_code
+        code_to_token = {base: UNSPECIFIED, **tokens}
+        return code_to_token, {t: c for c, t in code_to_token.items()}
 
     def _tables(self, *key) -> tuple[dict, dict]:
         tables = self._cache.get(key)

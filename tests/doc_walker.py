@@ -72,9 +72,20 @@ def leaf_count(doc) -> int:
     return len(all_leaf_codes(doc))
 
 
-def subtree_codes(doc, prefix: str) -> list[str]:
-    """Leaf codes under a dotted prefix (taxonomy/category/item/leaf level)."""
-    return [code for code in all_leaf_codes(doc)
+def subtree_codes(doc, prefix: str, codes: list[str] | None = None
+                  ) -> list[str]:
+    """Leaf codes under a dotted prefix (taxonomy/category/item/leaf level).
+
+    ``codes`` is ``all_leaf_codes(doc)``, for a caller that already has it.
+    A profile/taxonomy pair the profile leaves unchanged has no codes of
+    its own there: under it, the base subtree carries the qualifier.
+    """
+    if codes is None:
+        codes = all_leaf_codes(doc)
+    profile, colon, rest = prefix.partition(":")
+    if colon and (profile, rest.partition(".")[0]) not in profile_pairs(doc):
+        return [f"{profile}:{code}" for code in subtree_codes(doc, rest, codes)]
+    return [code for code in codes
             if code == prefix or code.startswith(prefix + ".")]
 
 

@@ -15,6 +15,8 @@ from taxidma.catalog import (
     Category,
     Item,
     Leaf,
+    Override,
+    Profile,
     Taxonomy,
     load_bundled_catalog,
     load_catalog,
@@ -233,6 +235,25 @@ def test_first_of_repeated_siblings_wins_in_a_directly_built_catalog():
     assert enumerated == ["BG.A.T.1"]
     for text in enumerated:
         built.resolve(text)
+    # Repeated taxonomy and profile codes: the first declaration wins too,
+    # with the items it declares or overrides.
+    again = Taxonomy("BG", "Second", (Category("A", "Other", (second,)),))
+    profiles = tuple(Profile("IoT", name, (Override(
+        "BG", "A", "T", Item("T", f"{name} Item", leaves=(Leaf(7, name),))),))
+        for name in ("One", "Two"))
+    built = Catalog("x", (tree, again), profiles, "0")
+    assert built.lookup("BG").name == "Background"
+    assert built.taxonomy("BG") is tree
+    assert built.profile("IoT") is profiles[0]
+    assert built.effective_items(None, "BG", "A") == (first, second)
+    assert built.lookup("BG.A.T.1").name == "One"
+    assert built.full_name("IoT:BG") == "One Background"
+    assert built.full_name("IoT:BG.A.T.7") == \
+        "One Background Attacker One Item One"
+    assert [format_code(c) for c in built.enumerate_codes()] == \
+        ["BG.A.T.1", "IoT:BG.A.T.7"]
+    assert [text for text, _ in built.subtree("BG")] == \
+        ["BG", "BG.A", "BG.A.T", "BG.A.T.1"]
 
 
 def test_lenient_parse_renders_canonical_text():
@@ -337,10 +358,17 @@ def test_enumeration_matches_document_walker(catalog, doc):
 
 
 def test_subtree_enumeration_matches_document_walker(catalog, doc):
+    codes = doc_walker.all_leaf_codes(doc)
     for prefix in ("BG", "UE.K", "SI.T.L", "IoT:SI.T", "SSI:UE.T.L",
-                   "BG.A.T.2", "IMS.I"):
+                   "BG.A.T.2", "IMS.I", *catalog._index):
         mine = [format_code(c) for c in catalog.enumerate_codes(prefix)]
-        assert mine == doc_walker.subtree_codes(doc, prefix), prefix
+        assert mine == doc_walker.subtree_codes(doc, prefix, codes), prefix
+    # Under a pair the profile leaves unchanged, the base subtree qualified.
+    for profile, tax in (("IoT", "IMS"), ("IoT", "UE"), ("SSI", "BG")):
+        assert (profile, tax) not in doc_walker.profile_pairs(doc)
+        base = doc_walker.subtree_codes(doc, tax, codes)
+        qualified = doc_walker.subtree_codes(doc, f"{profile}:{tax}", codes)
+        assert base and qualified == [f"{profile}:{code}" for code in base]
 
 
 def test_enumerated_codes_all_resolve_and_canonicalize(catalog):

@@ -268,6 +268,25 @@ def test_merge_profiles_folds_qualified_codes(tmp_path, bundled_catalog):
     assert any(":" in entry.code for entry in plain.entries)
 
 
+@pytest.mark.parametrize("group_by", GROUPINGS)
+@pytest.mark.parametrize("merge_profiles", [False, True])
+def test_every_group_code_is_named(fixture_corpus, bundled_catalog, group_by,
+                                   merge_profiles):
+    corpus = fixture_corpus
+    for record in record_batch(bundled_catalog, seed=7, count=47):
+        corpus.store(record)
+    report = compute_stats(corpus, bundled_catalog, group_by,
+                           merge_profiles=merge_profiles)
+    assert {e.code: e.count for e in report.entries} == oracle.frequencies(
+        oracle.load_docs(corpus.root), group_by, merge_profiles=merge_profiles)
+    assert [e.code for e in report.entries if not e.name] == []
+    names = {e.code: e.name for e in report.entries}
+    if merge_profiles and group_by == "item":
+        # Only profiles declare these; IoT comes first in the catalog.
+        for code in ("BG.I.O", "SI.T.H"):
+            assert names[code] == bundled_catalog.full_name(f"IoT:{code}")
+
+
 def test_unresolvable_codes_get_blank_names(bundled_catalog):
     record = new_record("r1", "t", "d")
     add_selection(record, BACKGROUND, "BG.Z.Q.1")

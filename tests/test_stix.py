@@ -6,6 +6,7 @@ import hashlib
 import json
 import random
 import uuid
+from importlib import resources
 
 import pytest
 
@@ -14,6 +15,11 @@ from record_gen import record_batch
 from taxidma import stix
 from taxidma.catalog import (
     BUNDLED_CATALOG_RESOURCE,
+    Catalog,
+    Category,
+    Item,
+    Leaf,
+    Taxonomy,
     load_bundled_catalog,
     load_catalog,
 )
@@ -416,6 +422,72 @@ def test_vocabulary_tables_belong_to_their_catalog():
     record = load_fixture_record("canva-2019")
     assert serialize_bundle(to_stix(record, first, DETERMINISTIC)) == \
         serialize_bundle(to_stix(record, second, DETERMINISTIC))
+
+
+# sha256 of every (taxonomy key x slot row) code-to-token table of the
+# bundled catalog, in table order, or the name of the error its build raises.
+PINNED_VOCABULARY_DIGEST = \
+    "38a59a3da8510af64d18963c2baadad5205be285cc92c0b4ac74d5003e2d39ee"
+
+
+def test_vocabulary_tables_of_the_bundled_catalog_are_pinned():
+    catalog = load_catalog((resources.files("taxidma") / "data" /
+                            BUNDLED_CATALOG_RESOURCE).read_bytes())
+    assert "_positions" not in vars(catalog)  # built as used, not at load
+    keys = [taxonomy.code for taxonomy in catalog.taxonomies]
+    keys += [f"{profile.code}:{key}" for profile in catalog.profiles
+             for key in list(keys)]
+    rows = []
+    for key in keys:
+        for slot in stix._SLOTS:
+            location = (key, slot.category, slot.item, slot.prefix)
+            try:
+                table = list(catalog.vocabulary._tables(*location)[0].items())
+            except Exception as exc:
+                table = type(exc).__name__
+            rows.append([*location[:3], list(slot.prefix), table])
+    assert len(rows) == 240
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == PINNED_VOCABULARY_DIGEST
+
+
+def _authenticity_catalog(*leaves):
+    """A directly built catalog whose BG.I.A item holds ``leaves``."""
+    item = Item("A", "Authenticity", leaves=leaves)
+    tree = Taxonomy("BG", "Background", (Category("I", "Identity", (item,)),))
+    return Catalog("x", (tree,), (), "0")
+
+
+def _authenticity_record(code):
+    record = new_record("r-hand", "hand-built", "")
+    add_selection(record, BACKGROUND, code)
+    return record
+
+
+def test_a_leaf_no_code_can_name_stays_out_of_the_tokens():
+    catalog = _authenticity_catalog(Leaf(1, "One"), Leaf(-1, "Negative"))
+    record = _authenticity_record("BG.I.A.1")
+    assert validate_record(record, catalog).ok
+    identity = only(to_stix(record, catalog, DETERMINISTIC), "identity")
+    assert taxidma_ext(identity)["authenticity"] == ["one"]
+
+
+def test_repeated_sibling_leaves_take_the_token_of_the_first():
+    catalog = _authenticity_catalog(
+        Leaf(1, "One"), Leaf(1, "Again", (Leaf(1, "Deep"),)))
+    record = _authenticity_record("BG.I.A.1")
+    assert catalog.lookup("BG.I.A.1").name == "One"
+    bundle = to_stix(record, catalog, DETERMINISTIC)
+    identity = only(bundle, "identity")
+    assert taxidma_ext(identity)["authenticity"] == ["one"]
+    # The shadowed subtree has no code, so its token decodes to residue.
+    taxidma_ext(identity)["authenticity"] = ["deep", "one"]
+    rebuilt, residue = from_stix(bundle, catalog)
+    assert [entry.reason for entry in residue] == \
+        ["value 'deep' has no BG.I.A equivalent"]
+    assert [str(s.code) for s in rebuilt.background.selections] == \
+        ["BG.I.A.1"]
+    assert validate_record(rebuilt, catalog).ok
 
 
 def test_default_mode_mints_fresh_identifiers(bundled_catalog):
