@@ -167,10 +167,13 @@ class Catalog:
             for taxonomy in self.taxonomies:
                 for category in taxonomy.categories:
                     items = list(category.items)
+                    overridden: set[str] = set()  # the first override wins
                     for ov in profile.overrides:
                         if (ov.taxonomy, ov.category) != (taxonomy.code,
-                                                          category.code):
+                                                          category.code) \
+                                or ov.item in overridden:
                             continue
+                        overridden.add(ov.item)
                         for pos, existing in enumerate(items):
                             if existing.code == ov.item:
                                 items[pos] = ov.definition

@@ -835,6 +835,11 @@ class _Inverter:
                     str(obj.get("id")), "vulnerability",
                     f"{field_name} is not a string"))
                 return
+        if not name:  # the code's free-text item requires a name
+            self.residue.append(ResidueEntry(
+                str(obj.get("id")), "vulnerability",
+                "name is missing or empty"))
+            return
         sink.append(Selection(code, free_text=name, note=note))
 
 
@@ -854,6 +859,18 @@ def _slot_tokens(obj: dict, payload: dict, slot: _Slot):
     extra = (payload if slot.overflow_nested else obj).get(slot.overflow)
     return ([value] if isinstance(value, str) else []) + \
         (extra if isinstance(extra, list) else [])
+
+
+def _incident_text(incident: dict | None, prop: str, fallback: str,
+                   residue: list[ResidueEntry]) -> str:
+    """The incident's ``prop`` when it is a non-empty string, else
+    ``fallback``; a value that is not a string is also residue."""
+    value = (incident or {}).get(prop)
+    if value is not None and not isinstance(value, str):
+        residue.append(ResidueEntry(incident["id"], "incident",
+                                    f"{prop} is not a string"))
+        return fallback
+    return value or fallback
 
 
 def from_stix(bundle: dict, catalog: Catalog
@@ -935,8 +952,10 @@ def from_stix(bundle: dict, catalog: Catalog
 
     record = AttackRecord(
         record_id=record_id,
-        title=(incident or {}).get("name") or "imported STIX bundle",
-        description=(incident or {}).get("description") or "",
+        title=_incident_text(incident, "name", "imported STIX bundle",
+                             inverter.residue),
+        description=_incident_text(incident, "description", "",
+                                   inverter.residue),
         sources=[],
         created=created or datetime.now(timezone.utc).replace(microsecond=0),
         background=TaxonomyApplication(background_code, "background",

@@ -256,6 +256,23 @@ def test_first_of_repeated_siblings_wins_in_a_directly_built_catalog():
         ["BG", "BG.A", "BG.A.T", "BG.A.T.1"]
 
 
+def test_first_of_repeated_overrides_wins_in_a_directly_built_catalog():
+    # The loader rejects repeated overrides; a hand-built catalog keeps the
+    # first per (profile, taxonomy, category, item), replaced or appended.
+    tree = Taxonomy("BG", "Background", (Category("A", "Attacker", (
+        Item("T", "Type", leaves=(Leaf(1, "One"),)),)),))
+    overrides = tuple(Override("BG", "A", code, Item(code, name))
+                      for code, name in (("T", "First ov"), ("T", "Second ov"),
+                                         ("Q", "First add"),
+                                         ("Q", "Second add")))
+    built = Catalog("x", (tree,), (Profile("IoT", "IoT", overrides),), "0")
+    assert built.lookup("IoT:BG.A.T").name == "First ov"
+    assert built.lookup("IoT:BG.A.Q").name == "First add"
+    assert [item.name for item in built.effective_items("IoT", "BG", "A")] \
+        == ["First ov", "First add"]
+    assert built.lookup("BG.A.T").name == "Type"
+
+
 def test_lenient_parse_renders_canonical_text():
     assert format_code(parse_code("iot:si.k.g.2", lenient=True)) == \
         "IoT:SI.K.G.2"

@@ -710,10 +710,52 @@ def test_non_string_vulnerability_text_is_residue(bundled_catalog,
           f"{field_name} is not a string")]
     assert all(selection.code.item != "Y"
                for selection in rebuilt.background.selections)
-    # Whatever from_stix returns survives validate, emit, write and read.
-    validate_record(rebuilt, bundled_catalog)
-    to_stix(rebuilt, bundled_catalog, DETERMINISTIC)
+    assert_survives_the_round_trip(rebuilt, bundled_catalog)
+
+
+def assert_survives_the_round_trip(rebuilt, catalog):
+    """Whatever from_stix returns survives validate, emit, write and read."""
+    assert validate_record(rebuilt, catalog).ok
+    to_stix(rebuilt, catalog, DETERMINISTIC)
     assert read_record(write_record(rebuilt)) == rebuilt
+
+
+@pytest.mark.parametrize("name", [None, ""])
+def test_vulnerability_without_a_name_is_residue(bundled_catalog, name):
+    record = load_fixture_record("solarwinds-2020")
+    bundle = to_stix(record, bundled_catalog, DETERMINISTIC)
+    vulnerability = only(bundle, "vulnerability")
+    if name is None:
+        del vulnerability["name"]
+    else:
+        vulnerability["name"] = name
+    rebuilt, residue = from_stix(bundle, bundled_catalog)
+    assert [(entry.object_id, entry.object_type, entry.reason)
+            for entry in residue] == \
+        [(vulnerability["id"], "vulnerability", "name is missing or empty")]
+    assert all(selection.code.item != "Y"
+               for selection in rebuilt.background.selections)
+    assert_survives_the_round_trip(rebuilt, bundled_catalog)
+
+
+@pytest.mark.parametrize("field_name, value", [
+    ("name", 5), ("name", ["x"]), ("description", 7),
+    ("description", {"a": 1}),
+])
+def test_non_string_incident_text_falls_back_and_is_residue(
+        bundled_catalog, field_name, value):
+    record = load_fixture_record("canva-2019")
+    bundle = to_stix(record, bundled_catalog, DETERMINISTIC)
+    incident = only(bundle, "incident")
+    incident[field_name] = value
+    rebuilt, residue = from_stix(bundle, bundled_catalog)
+    assert [(entry.object_id, entry.object_type, entry.reason)
+            for entry in residue] == \
+        [(incident["id"], "incident", f"{field_name} is not a string")]
+    assert (rebuilt.title, rebuilt.description) == (
+        ("imported STIX bundle", record.description) if field_name == "name"
+        else (record.title, ""))
+    assert_survives_the_round_trip(rebuilt, bundled_catalog)
 
 
 def _parse_code_failing_on(monkeypatch, failing_text):
