@@ -231,20 +231,21 @@ def _validate_application(catalog: Catalog, scope: int,
 
     codes: list[TaxonomyCode] = []  # the selection codes that render
     texts: list[str] = []  # and their canonical texts
+    profile, tax = taxonomy.profile, taxonomy.taxonomy
     for index, selection in enumerate(application.selections):
+        code = selection.code
         try:
-            code_text = format_code(selection.code)
+            code_text = format_code(code)
         except InvalidCodeError as exc:
             err("invalid-code", index, str(exc))
             continue
-        codes.append(selection.code)
+        codes.append(code)
         texts.append(code_text)
-        if tax_ok and (selection.code.profile, selection.code.taxonomy) != (
-                taxonomy.profile, taxonomy.taxonomy):
+        if tax_ok and (code.taxonomy != tax or code.profile != profile):
             err("selection-taxonomy-mismatch", index,
                 f"{code_text} does not belong to {format_code(taxonomy)}")
             continue
-        if selection.code.depth < 2:
+        if code.item is None:  # depth < 2, as the code renders
             err("selection-too-shallow", index,
                 f"{code_text} stops above item granularity")
             continue
@@ -253,15 +254,17 @@ def _validate_application(catalog: Catalog, scope: int,
         except UnknownPathError as exc:
             err("unresolvable-code", index, str(exc))
             continue
-        needs_text = item.kind in ("free_text", "external_reference")
-        if needs_text and not selection.free_text:
-            err("free-text-required", index,
-                f"{code_text} is a {item.kind} item; free_text is required")
-        if not needs_text and selection.free_text is not None:
+        kind = item.kind
+        if kind == "free_text" or kind == "external_reference":
+            if not selection.free_text:
+                err("free-text-required", index,
+                    f"{code_text} is a {kind} item; free_text is required")
+            continue
+        if selection.free_text is not None:
             err("free-text-not-allowed", index,
                 f"{code_text} enumerates fixed leaves; free_text is not "
                 "allowed")
-        if not chain and item.leaves and item.kind == "enumerated":
+        if kind == "enumerated" and not chain and item.leaves:
             warn("item-level-selection", index,
                  f"{code_text} selects a whole item that has leaves; "
                  "pick a leaf when one fits")

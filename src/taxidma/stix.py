@@ -204,19 +204,20 @@ NEW_SCO_TYPES = ("social-engineering", "osint")
 # Extension payload properties allowed per object type.  The new types
 # carry nothing but ``extension_type`` there; vulnerabilities carry their
 # code.
-_EXTENSION_PROPS: dict[str, set[str]] = {
-    object_type: set() for object_type in (*NEW_SDO_PROPERTIES,
-                                           *NEW_SCO_TYPES)}
-_EXTENSION_PROPS.update((object_type, set(_schema(object_type, True)))
-                        for object_type in _SLOTS_OF
-                        if object_type not in NEW_SDO_PROPERTIES)
-_EXTENSION_PROPS["vulnerability"] = {"taxonomy", "code"}
+_EXTENSION_PROPS: dict[str, frozenset[str]] = dict.fromkeys(
+    (*NEW_SDO_PROPERTIES, *NEW_SCO_TYPES), frozenset(("extension_type",)))
+_EXTENSION_PROPS.update(
+    (object_type, frozenset(("extension_type", *_schema(object_type, True))))
+    for object_type in _SLOTS_OF if object_type not in NEW_SDO_PROPERTIES)
+_EXTENSION_PROPS["vulnerability"] = frozenset(
+    ("extension_type", "taxonomy", "code"))
 
 # Taxidma vocabulary properties that must never sit top-level on a standard
-# STIX type.
+# STIX type: in flagging order, and as a set for the common all-clear.
 _NESTED_ONLY_PROPS = tuple(dict.fromkeys(
     prop for slot in _SLOTS for prop, inside in slot.placements()
     if inside))
+_NESTED_ONLY = frozenset(_NESTED_ONLY_PROPS)
 
 _IDENTITY_CLASS = {"BG": "unknown", "SI": "system", "IMS": "system",
                    "UE": "individual"}
@@ -237,6 +238,15 @@ _REQUIRED_BY_TYPE = {
        for object_type, schema in NEW_SDO_PROPERTIES.items()},
     **dict.fromkeys(NEW_SCO_TYPES, ("value",)),
 }
+
+# What validate_bundle checks each object against, built once.
+_ALLOWED_TOP = {object_type: frozenset(
+    (*COMMON_PROPS, *schema["required"], *schema["optional"]))
+    for object_type, schema in NEW_SDO_PROPERTIES.items()}
+_EXTENSION_TYPES = frozenset((
+    "new-sdo", "new-sco", "new-sro", "property-extension",
+    "toplevel-property-extension"))
+_ACCOUNT_TYPES = frozenset(_NATIVE_ACCOUNT_TYPES + _ADDED_ACCOUNT_TYPES)
 
 
 @dataclass
@@ -715,9 +725,8 @@ def _taxidma_extension(obj: dict) -> dict | None:
     return None
 
 
-def _scope_markers(obj: dict) -> tuple[str | None, int | None]:
-    """(taxonomy key, application index) wherever the object carries them."""
-    payload = _taxidma_extension(obj) or {}
+def _scope_markers(obj: dict, payload: dict) -> tuple[str | None, int | None]:
+    """(taxonomy key, application index), from ``payload`` or else ``obj``."""
     taxonomy = payload.get("taxonomy", obj.get("taxonomy"))
     index = payload.get("application_index", obj.get("application_index"))
     if not isinstance(taxonomy, str):
@@ -758,14 +767,16 @@ class _Inverter:
         self.apps: dict[int, dict] = {}
         self.residue: list[ResidueEntry] = []
 
-    def _target(self, obj: dict) -> tuple[str, list[Selection]]:
-        taxonomy, index = _scope_markers(obj)
+    def _target(self, obj: dict, payload: dict) -> tuple[str, list[Selection]]:
+        taxonomy, index = _scope_markers(obj, payload)
         if index is None:
             if taxonomy:
                 self.background_tax = self.background_tax or taxonomy
             return self.background_tax or taxonomy or "BG", self.background
-        app = self.apps.setdefault(index, {"taxonomy": None, "label": None,
-                                           "selections": []})
+        app = self.apps.get(index)
+        if app is None:
+            app = self.apps[index] = {"taxonomy": None, "label": None,
+                                      "selections": []}
         if taxonomy and app["taxonomy"] is None:
             app["taxonomy"] = taxonomy
         if app["label"] is None and isinstance(obj.get("name"), str):
@@ -778,11 +789,12 @@ class _Inverter:
             tokens = [tokens]
         if not isinstance(tokens, list):
             return
+        code_for = self.catalog.vocabulary.code_for
         for token in tokens:
             code_text = None
             if isinstance(token, str):
                 try:
-                    code_text = self.catalog.vocabulary.code_for(
+                    code_text = code_for(
                         tax_key, slot.category, slot.item, slot.prefix, token)
                 except (InvalidCodeError, UnknownPathError,
                         InvalidRecordError):
@@ -809,12 +821,13 @@ class _Inverter:
             return True  # derived from attack_type; nothing to recover
         # Every other type at least marks its scope (an
         # identity-management-category object carries nothing else).
-        tax_key, sink = self._target(obj)
+        tax_key, sink = self._target(obj, payload)
         if obj_type == "vulnerability":
             self._take_vulnerability(obj, payload, sink)
         for slot in _SLOTS_OF.get(obj_type, ()):
-            self._decode(obj, tax_key, slot, _slot_tokens(obj, payload, slot),
-                         sink)
+            tokens = _slot_tokens(obj, payload, slot)
+            if tokens is not None:  # an absent property decodes to nothing
+                self._decode(obj, tax_key, slot, tokens, sink)
         return True
 
     def _take_vulnerability(self, obj: dict, payload: dict,
@@ -859,18 +872,6 @@ def _slot_tokens(obj: dict, payload: dict, slot: _Slot):
     extra = (payload if slot.overflow_nested else obj).get(slot.overflow)
     return ([value] if isinstance(value, str) else []) + \
         (extra if isinstance(extra, list) else [])
-
-
-def _incident_text(incident: dict | None, prop: str, fallback: str,
-                   residue: list[ResidueEntry]) -> str:
-    """The incident's ``prop`` when it is a non-empty string, else
-    ``fallback``; a value that is not a string is also residue."""
-    value = (incident or {}).get(prop)
-    if value is not None and not isinstance(value, str):
-        residue.append(ResidueEntry(incident["id"], "incident",
-                                    f"{prop} is not a string"))
-        return fallback
-    return value or fallback
 
 
 def from_stix(bundle: dict, catalog: Catalog
@@ -950,12 +951,20 @@ def from_stix(bundle: dict, catalog: Catalog
     if background_code is None or background_code.taxonomy != "BG":
         background_code = TaxonomyCode("BG")
 
+    texts = {}  # the incident's name and description, or their fallbacks
+    for prop, fallback in (("name", "imported STIX bundle"),
+                           ("description", "")):
+        value = (incident or {}).get(prop)
+        if value is not None and not isinstance(value, str):
+            inverter.residue.append(ResidueEntry(
+                incident["id"], "incident", f"{prop} is not a string"))
+            value = None
+        texts[prop] = value or fallback
+
     record = AttackRecord(
         record_id=record_id,
-        title=_incident_text(incident, "name", "imported STIX bundle",
-                             inverter.residue),
-        description=_incident_text(incident, "description", "",
-                                   inverter.residue),
+        title=texts["name"],
+        description=texts["description"],
         sources=[],
         created=created or datetime.now(timezone.utc).replace(microsecond=0),
         background=TaxonomyApplication(background_code, "background",
@@ -994,8 +1003,9 @@ def validate_bundle(bundle) -> list[BundleViolation]:
         flag("bundle-shape", str(bundle_id), "objects must be a list")
         return out
 
-    seen_ids: dict[str, int] = {}
-    ids: set[str] = set()
+    seen_ids: dict[str, int] = {}  # id -> position of its first object
+    stamps: set[str] = set()  # timestamps already matched in this bundle
+    relationships: list[tuple[str, dict]] = []
     uses_extension = False
 
     for position, obj in enumerate(objects):
@@ -1017,8 +1027,10 @@ def validate_bundle(bundle) -> list[BundleViolation]:
             if oid in seen_ids:
                 flag("duplicate-id", oid,
                      f"already used at objects[{seen_ids[oid]}]")
-            seen_ids.setdefault(oid, position)
-            ids.add(oid)
+            else:
+                seen_ids[oid] = position
+        if obj_type == "relationship":
+            relationships.append((label, obj))
 
         is_sco = obj_type in _SCO_TYPES
         if not is_sco:
@@ -1027,9 +1039,12 @@ def validate_bundle(bundle) -> list[BundleViolation]:
                     flag("required-common", label, f"missing {prop}")
             for prop in ("created", "modified"):
                 value = obj.get(prop)
-                if isinstance(value, str) and not _TIMESTAMP_RE.match(value):
-                    flag("timestamp-format", label,
-                         f"{prop} {value!r} is not an RFC 3339 UTC stamp")
+                if isinstance(value, str) and value not in stamps:
+                    if _TIMESTAMP_RE.match(value):
+                        stamps.add(value)
+                    else:
+                        flag("timestamp-format", label, f"{prop} {value!r} "
+                             "is not an RFC 3339 UTC stamp")
 
         for prop in _REQUIRED_BY_TYPE.get(obj_type, ()):
             if prop not in obj:
@@ -1037,13 +1052,15 @@ def validate_bundle(bundle) -> list[BundleViolation]:
                      f"{obj_type} requires {prop!r}")
 
         extensions = obj.get("extensions")
+        own = None  # this extension's payload on the object
         if extensions is not None and not isinstance(extensions, dict):
             flag("extension-declared", label, "extensions must be a map")
-            extensions = None
-        if isinstance(extensions, dict):
+        elif extensions:
             for ext_id, payload in extensions.items():
-                if not isinstance(ext_id, str) or not STIX_ID_RE.match(ext_id) \
-                        or not ext_id.startswith("extension-definition--"):
+                if ext_id != EXTENSION_DEFINITION_ID and (
+                        not isinstance(ext_id, str)
+                        or not STIX_ID_RE.match(ext_id)
+                        or not ext_id.startswith("extension-definition--")):
                     flag("extension-declared", label,
                          f"bad extension key {ext_id!r}")
                     continue
@@ -1052,41 +1069,37 @@ def validate_bundle(bundle) -> list[BundleViolation]:
                          "extension payload must be an object")
                     continue
                 ext_type = payload.get("extension_type")
-                if ext_type not in ("new-sdo", "new-sco", "new-sro",
-                                    "property-extension",
-                                    "toplevel-property-extension"):
+                if not isinstance(ext_type, str) or \
+                        ext_type not in _EXTENSION_TYPES:
                     flag("extension-declared", label,
                          f"bad extension_type {ext_type!r}")
                 if ext_id == EXTENSION_DEFINITION_ID:
                     uses_extension = True
+                    own = payload
                     allowed = _EXTENSION_PROPS.get(obj_type)
                     if allowed is None:
                         flag("taxidma-properties", label,
                              f"{obj_type} takes no taxidma extension")
-                    else:
+                    elif not allowed.issuperset(payload):
                         for key in payload:
-                            if key != "extension_type" and key not in allowed:
+                            if key not in allowed:
                                 flag("taxidma-properties", label,
                                      f"unknown extension property {key!r}")
 
-        if obj_type in NEW_SDO_PROPERTIES:
-            schema = NEW_SDO_PROPERTIES[obj_type]
-            allowed_top = COMMON_PROPS | set(schema["required"]) | \
-                set(schema["optional"])
+        allowed_top = _ALLOWED_TOP.get(obj_type)
+        if allowed_top is not None:
             for key in obj:
                 if key not in allowed_top:
                     flag("taxidma-properties", label,
                          f"unknown property {key!r} on {obj_type}")
-            payload = _taxidma_extension(obj)
-            if payload is None or payload.get("extension_type") != "new-sdo":
+            if own is None or own.get("extension_type") != "new-sdo":
                 flag("extension-not-declared", label,
                      f"{obj_type} must declare the new-sdo extension")
         elif obj_type in NEW_SCO_TYPES:
-            payload = _taxidma_extension(obj)
-            if payload is None or payload.get("extension_type") != "new-sco":
+            if own is None or own.get("extension_type") != "new-sco":
                 flag("extension-not-declared", label,
                      f"{obj_type} must declare the new-sco extension")
-        else:
+        elif not _NESTED_ONLY.isdisjoint(obj):
             for key in _NESTED_ONLY_PROPS:
                 if key in obj:
                     flag("extension-not-declared", label,
@@ -1094,26 +1107,24 @@ def validate_bundle(bundle) -> list[BundleViolation]:
 
         if obj_type == "user-account":
             account_type = obj.get("account_type")
-            if account_type is not None and \
-                    account_type not in extended_account_type_vocabulary():
+            if account_type is not None and (
+                    not isinstance(account_type, str)
+                    or account_type not in _ACCOUNT_TYPES):
                 flag("account-type-vocab", label,
                      f"unknown account_type {account_type!r}")
 
-    for position, obj in enumerate(objects):
-        if not isinstance(obj, dict) or obj.get("type") != "relationship":
-            continue
-        label = str(obj.get("id") or f"objects[{position}]")
+    for label, obj in relationships:
         for end in ("source_ref", "target_ref"):
             ref = obj.get(end)
             if isinstance(ref, str):
-                if ref not in ids:
+                if ref not in seen_ids:
                     flag("relationship-refs", label,
                          f"{end} {ref!r} does not resolve in this bundle")
             elif end in obj:
                 flag("relationship-refs", label,
                      f"{end} {ref!r} is not a string")
 
-    if uses_extension and EXTENSION_DEFINITION_ID not in ids:
+    if uses_extension and EXTENSION_DEFINITION_ID not in seen_ids:
         flag("extension-definition-present", EXTENSION_DEFINITION_ID,
              "objects use the extension but the bundle does not carry its "
              "definition")

@@ -31,7 +31,7 @@ SEED = 13
 # Covers the residue of incident text that is not a string and of a
 # vulnerability without a name.
 PINNED_INGEST_DIGEST = \
-    "cff8cabc7414bf904b45d58e97c1a11ade35c28aa703d9d3f5e97c7f6542dd5d"
+    "8486fe94c53de7375f762fd7edd94fe7635ab22cd6abd1b55ea134836a4985a0"
 
 _STAMP = "2020-02-02T02:02:02.000Z"
 _STAMP_RE = re.compile(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}(\.\d+)?Z")
@@ -40,6 +40,7 @@ _STAMP_RE = re.compile(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}(\.\d+)?Z")
 _VALUES = (
     None, True, 0, 7, -1, 2.5, "", "x", "unspecified", "impostor",
     "credential-stuffing", "nation-state", "new-sdo", "property-extension",
+    "unix", "relationship", "device",
     "BG", "SI", "IoT:SI", "XYZ", "a:b:c", "BG.K.Y", "BG.I.A.1", "CVE-2020-1",
     _STAMP, "2020-02-30T00:00:00Z", "2020-02-02 02:02:02", [], ["x"],
     ["impostor", 3], [{"phase_name": "x"}], {}, {"a": 1}, [[1]], {"x": []},
@@ -84,7 +85,7 @@ def _mutate(bundle: dict, rng: random.Random) -> None:
     objects = bundle.get("objects")
     if not isinstance(objects, list) or not objects:
         return
-    kind = rng.randrange(7)
+    kind = rng.randrange(8)
     target = rng.choice(_containers(bundle))
     if kind == 0:  # set a known key, present or not
         target[rng.choice(_KEYS)] = rng.choice(_VALUES)
@@ -102,6 +103,9 @@ def _mutate(bundle: dict, rng: random.Random) -> None:
                        json.loads(json.dumps(rng.choice(objects))))
     elif kind == 5:  # a non-object in place of an object
         objects[rng.randrange(len(objects))] = rng.choice(_NON_OBJECTS)
+    elif kind == 6:  # another type, with an account type of any kind
+        target["type"] = rng.choice(("user-account", "osint", "malware"))
+        target["account_type"] = rng.choice(_VALUES)
     else:  # one element of a list value replaced
         lists = [value for value in target.values()
                  if isinstance(value, list) and value]

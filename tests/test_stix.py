@@ -814,6 +814,24 @@ def test_object_with_a_bad_taxonomy_marker_is_residue(bundled_catalog,
     assert reasons and all(f"no {marker}.I." in reason for reason in reasons)
 
 
+@pytest.mark.parametrize("value", ["", [""], None])
+def test_empty_vocabulary_value_is_residue(bundled_catalog, value):
+    record = load_fixture_record("canva-2019")
+    bundle = to_stix(record, bundled_catalog, DETERMINISTIC)
+    device = only(bundle, "device")
+    if value is None:  # an absent property decodes to nothing
+        del device["level"]
+    else:
+        device["level"] = value
+    rebuilt, residue = from_stix(bundle, bundled_catalog)
+    assert [(entry.object_id, entry.reason) for entry in residue] == (
+        [] if value is None else
+        [(device["id"], "value '' has no UE.T.L equivalent")])
+    assert not any(selection.code.category == "T"
+                   and selection.code.item == "L"
+                   for selection in rebuilt.applications[0].selections)
+
+
 # -- bundle validation --------------------------------------------------------
 
 
