@@ -28,8 +28,8 @@ from taxidma.stix import (
 
 BUNDLES = 2000
 SEED = 13
-# Covers the residue of incident text that is not a string and of a
-# vulnerability without a name.
+# Taken with the residue of incident text that is not a string and of a
+# vulnerability without a name in place; it holds while no output changes.
 PINNED_INGEST_DIGEST = \
     "8486fe94c53de7375f762fd7edd94fe7635ab22cd6abd1b55ea134836a4985a0"
 
