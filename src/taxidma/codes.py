@@ -15,13 +15,12 @@ Parsing is strict about case: ``bg.i.a.1`` and the case-variant ``IOT`` are
 rejected unless ``lenient=True``, which upper-cases the input first and then
 maps registered tokens back to their canonical spelling.
 
-A strict parse is one match of the whole grammar as a single pattern.  Text
-that pattern rejects, and every lenient parse, goes through a token scanner
-that reports the offset of the first offending character.  A strict parse
-of an exact ``str`` is memoized: parsing the same text again returns the
-same immutable :class:`TaxonomyCode`.  The memo holds at most
-``_MEMO_SIZE`` texts of at most ``_MEMO_TEXT_MAX`` characters each, and is
-emptied when full.
+Every parse goes through one token scanner, which reports the offset of
+the first offending character.  A strict parse of an exact ``str`` is
+memoized: parsing the same text again returns the same immutable
+:class:`TaxonomyCode`, whose canonical text is the parsed text.  The memo
+holds at most ``_MEMO_SIZE`` texts of at most ``_MEMO_TEXT_MAX`` characters
+each, and is emptied when full.
 """
 from __future__ import annotations
 
@@ -46,16 +45,6 @@ _NUM_RE = re.compile(r"0|[1-9][0-9]*")
 
 # Upper-cased spellings of registered tokens mapped back to canonical form.
 _FOLDED_TOKENS = {p.upper(): p for p in REGISTERED_PROFILES}
-# Taxonomy tokens the strict pattern matches but strict parsing rejects.
-_CASE_VARIANTS = frozenset(_FOLDED_TOKENS) - frozenset(REGISTERED_PROFILES)
-
-# The whole strict grammar; groups: profile, taxonomy, category, item, and
-# the leaf segments with their leading dots.
-_PROFILE_ALT = "|".join(REGISTERED_PROFILES)
-_STRICT_RE = re.compile(
-    rf"(?:({_PROFILE_ALT}):)?({_PROFILE_ALT}|{_TAX_RE.pattern})"
-    rf"(?:\.({_CAT_RE.pattern})(?:\.({_ITEM_RE.pattern})"
-    rf"((?:\.(?:{_NUM_RE.pattern}))*))?)?")
 
 # Bounds of the strict-parse memo: entries, and the longest text kept (the
 # bundled catalog's longest code text has 16 characters).
@@ -136,37 +125,26 @@ def parse_code(text: str, lenient: bool = False) -> TaxonomyCode:
     :class:`CodeSyntaxError` (with the offending character offset) for
     anything else the grammar rejects.
     """
-    if not lenient and type(text) is str:
-        code = _MEMO.get(text)
-        if code is not None:
-            return code
-        match = _STRICT_RE.fullmatch(text)
-        if match is not None:
-            profile, taxonomy, category, item, leaves = match.groups()
-            if taxonomy not in _CASE_VARIANTS:
-                leaf_path = ()
-                if leaves:
-                    try:
-                        leaf_path = tuple(map(int, leaves[1:].split(".")))
-                    except ValueError:  # beyond int()'s digit limit
-                        return _scan(text, False)
-                code = TaxonomyCode(taxonomy, category, item, leaf_path,
-                                    profile)
-                # Strictly parsed text is already canonical: seed
-                # format_code's cache.
-                code.__dict__[_TEXT] = text
-                if len(text) <= _MEMO_TEXT_MAX:
-                    with _MEMO_LOCK:
-                        if len(_MEMO) >= _MEMO_SIZE:
-                            _MEMO.clear()
-                        _MEMO[text] = code
-                return code
-    return _scan(text, lenient)
+    if lenient or type(text) is not str:
+        return _scan(text, lenient)
+    code = _MEMO.get(text)
+    if code is not None:
+        return code
+    code = _scan(text, False)
+    # Strictly parsed text is already canonical: seed format_code's cache.
+    code.__dict__[_TEXT] = text
+    if len(text) <= _MEMO_TEXT_MAX:
+        with _MEMO_LOCK:
+            if len(_MEMO) >= _MEMO_SIZE:
+                _MEMO.clear()
+            _MEMO[text] = code
+    return code
 
 
 def _scan(text: str, lenient: bool) -> TaxonomyCode:
     """Token-by-token parse: raises the documented error with its offset
-    for text the strict pattern rejects, and folds case when lenient."""
+    for text the grammar rejects, and folds case when lenient.  A strict
+    scan accepts only canonical text."""
     if not isinstance(text, str):
         raise _fail("", "code must be a string", 0)
     if text == "":
@@ -258,10 +236,10 @@ def format_code(code: TaxonomyCode) -> str:
     """Render a :class:`TaxonomyCode` back to its canonical string.
 
     Raises :class:`InvalidCodeError` if the structured value violates the
-    grammar (bad charset, broken nesting, negative leaf numbers) or has a
-    leaf number too long to render.  The check runs once per code: the
-    text is cached on the instance when its ``leaf_path`` is a tuple (a
-    list could still change).
+    grammar (a field of the wrong type, bad charset, broken nesting,
+    negative leaf numbers) or has a leaf number too long to render.  The
+    check runs once per code: the text is cached on the instance when its
+    ``leaf_path`` is a tuple (a list could still change).
     """
     cached = getattr(code, "__dict__", _NO_TEXT).get(_TEXT)
     if cached is not None:
@@ -270,21 +248,23 @@ def format_code(code: TaxonomyCode) -> str:
         raise InvalidCodeError(f"unknown profile {code.profile!r}")
     tax = code.taxonomy
     if tax not in REGISTERED_PROFILES:
-        if _TAX_RE.fullmatch(tax) is None or tax in _FOLDED_TOKENS:
+        if (not isinstance(tax, str) or _TAX_RE.fullmatch(tax) is None
+                or tax in _FOLDED_TOKENS):
             raise InvalidCodeError(f"bad taxonomy token {tax!r}")
     if code.category is None:
         if code.item is not None or code.leaf_path:
             raise InvalidCodeError("item/leaves require a category")
-    elif _CAT_RE.fullmatch(code.category) is None:
+    elif (not isinstance(code.category, str)
+          or _CAT_RE.fullmatch(code.category) is None):
         raise InvalidCodeError(f"bad category {code.category!r}")
     if code.item is None:
         if code.leaf_path:
             raise InvalidCodeError("leaves require an item")
-    else:
-        if code.category is None:
-            raise InvalidCodeError("item requires a category")
-        if _ITEM_RE.fullmatch(code.item) is None:
-            raise InvalidCodeError(f"bad item code {code.item!r}")
+    elif (not isinstance(code.item, str)
+          or _ITEM_RE.fullmatch(code.item) is None):
+        raise InvalidCodeError(f"bad item code {code.item!r}")
+    if not isinstance(code.leaf_path, (tuple, list)):
+        raise InvalidCodeError(f"bad leaf path {code.leaf_path!r}")
     for number in code.leaf_path:
         if not is_leaf_number(number):
             raise InvalidCodeError(f"bad leaf number {number!r}")

@@ -210,9 +210,10 @@ def _validate_application(catalog: Catalog, scope: int,
     tax_ok = False
     renders = True  # a taxonomy code that breaks the grammar has no text
     try:
+        tax_text = format_code(taxonomy)  # depth needs a sound leaf_path
         if taxonomy.depth != 0:
             err("application-taxonomy", None,
-                f"{format_code(taxonomy)} is not taxonomy-granularity")
+                f"{tax_text} is not taxonomy-granularity")
         else:
             catalog.resolve(taxonomy)
             tax_ok = True

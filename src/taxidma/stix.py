@@ -41,6 +41,7 @@ from .record import (
     AttackRecord,
     Selection,
     TaxonomyApplication,
+    _as_taxonomy_code,
     _indented_json,
     validate_record,
 )
@@ -748,13 +749,11 @@ def _parse_stamp(value) -> datetime | None:
 
 def _parse_tax_key(value: str | None, default: str = "BG"
                    ) -> TaxonomyCode | None:
-    if value is None:
-        value = default
     try:
-        code = parse_code(value)
-    except CodeSyntaxError:
+        return _as_taxonomy_code(parse_code(
+            default if value is None else value))
+    except (CodeSyntaxError, InvalidCodeError):
         return None
-    return code if code.depth == 0 else None
 
 
 class _Inverter:

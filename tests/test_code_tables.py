@@ -11,6 +11,7 @@ import json
 import sys
 import threading
 from collections import Counter
+from dataclasses import astuple
 from importlib import resources
 
 import pytest
@@ -24,13 +25,16 @@ from taxidma.catalog import BUNDLED_CATALOG_RESOURCE, Catalog, load_catalog
 from taxidma.codes import TaxonomyCode, format_code, parse_code
 from taxidma.errors import (
     CodeSyntaxError,
+    InvalidCodeError,
     InvalidRecordError,
     MalformedFileError,
 )
 from taxidma.record import (
     BACKGROUND,
+    Selection,
     TaxonomyApplication,
     add_selection,
+    new_record,
     read_record,
     record_to_dict,
     validate_record,
@@ -325,3 +329,32 @@ def test_any_json_selection_code_reads_or_is_malformed(value):
     text = json.dumps(doc)
     first = _read_outcome(text)
     assert _read_outcome(text) == first
+
+
+_SAMPLE_CODES = [parse_code(text) for text in (
+    "BG", "SI.K", "BG.I.A.1", "IoT:SI.K.G.2", "UE.K.T.1.4.4")]
+
+
+@st.composite
+def _in_memory_codes(draw):
+    """A parsed code with up to two of its five fields replaced by any
+    value: most break the grammar, and a few still render."""
+    fields = list(astuple(draw(st.sampled_from(_SAMPLE_CODES))))
+    for index in draw(st.sets(st.integers(0, 4), max_size=2)):
+        fields[index] = draw(_code_values)
+    return TaxonomyCode(*fields)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_in_memory_codes())
+def test_any_in_memory_code_renders_or_is_invalid(bundled_catalog, code):
+    try:
+        text = format_code(code)
+    except InvalidCodeError:
+        pass
+    else:
+        assert format_code(parse_code(text)) == text
+    record = new_record("any-code", "any code", "")
+    record.background.selections.append(Selection(code))
+    record.applications.append(TaxonomyApplication(code, "", []))
+    validate_record(record, bundled_catalog)  # must not raise

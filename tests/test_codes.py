@@ -118,6 +118,13 @@ def test_format_rejects_broken_nesting():
         format_code(TaxonomyCode("IOT"))
     with pytest.raises(InvalidCodeError):
         format_code(TaxonomyCode("BG", "ii"))
+    for broken in (TaxonomyCode("BG", "K", ("x",)), TaxonomyCode("BG", 1, "T"),
+                   TaxonomyCode(["BG"], "K", "T"),
+                   TaxonomyCode("BG", "K", "T", 5),
+                   TaxonomyCode("BG", "K", "T", None), TaxonomyCode(5),
+                   TaxonomyCode("SI", ["K"]), TaxonomyCode("SI", "K", "T", 5)):
+        with pytest.raises(InvalidCodeError):
+            format_code(broken)
 
 
 def test_is_prefix_of():

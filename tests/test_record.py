@@ -5,6 +5,7 @@ import ast
 import enum
 import json
 import random
+import re
 from collections import Counter
 from datetime import datetime, timezone
 from pathlib import Path
@@ -431,7 +432,12 @@ def test_in_memory_code_breaking_the_grammar_is_reported(catalog, number,
     (BACKGROUND, TaxonomyCode("BG", profile="iot"), "unknown profile 'iot'"),
     (0, TaxonomyCode("si"), "bad taxonomy token 'si'"),
     (0, TaxonomyCode("SI", "k"), "bad category 'k'"),
-], ids=["background", "background-profile", "application", "deeper"])
+    (0, TaxonomyCode(5), "bad taxonomy token 5"),
+    (0, TaxonomyCode("SI", ["K"]), "bad category ['K']"),
+    (0, TaxonomyCode("SI", "K", "T", 5), "bad leaf path 5"),
+], ids=["background", "background-profile", "application", "deeper",
+        "taxonomy-not-a-string", "category-not-a-string",
+        "leaf-path-not-a-sequence"])
 def test_application_taxonomy_breaking_the_grammar_is_reported(
         catalog, scope, taxonomy, message):
     record = build_minimal(catalog)
@@ -444,8 +450,24 @@ def test_application_taxonomy_breaking_the_grammar_is_reported(
     report = validate_record(record, catalog)
     assert [(v.rule, v.path, v.message) for v in report.violations] == [
         ("invalid-code", path, message)]
-    with pytest.raises(InvalidCodeError, match=message):
+    with pytest.raises(InvalidCodeError, match=re.escape(message)):
         write_record(record)
+
+
+@pytest.mark.parametrize("code, message", [
+    (TaxonomyCode("BG", "K", ("x",)), "bad item code ('x',)"),
+    (TaxonomyCode("BG", 1, "T"), "bad category 1"),
+    (TaxonomyCode(["BG"], "K", "T"), "bad taxonomy token ['BG']"),
+    (TaxonomyCode("BG", "K", "T", 5), "bad leaf path 5"),
+    (TaxonomyCode("BG", "K", "T", None), "bad leaf path None"),
+], ids=["item", "category", "taxonomy", "leaf-path", "no-leaf-path"])
+def test_selection_code_with_a_field_of_the_wrong_type_is_reported(
+        catalog, code, message):
+    record = build_minimal(catalog)
+    record.background.selections.append(Selection(code))
+    report = validate_record(record, catalog)
+    assert [(v.rule, v.path, v.message) for v in report.errors] == [
+        ("invalid-code", "background.selections[1]", message)]
 
 
 def _malformed_message(doc) -> str:
