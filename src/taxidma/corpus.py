@@ -9,14 +9,16 @@ Statistics over a corpus read a summary file, ``.taxidma-summary``, beside
 the records.  It maps the sha256 of each record file's bytes to that
 record's selection codes as canonical texts, so a query hashes each file
 and parses only the files whose hash it does not find.  Because an entry is
-keyed on content it never goes stale; a rewritten record simply misses.
-The summary is only a cache: a missing, unreadable or malformed one, one
-that is not a regular file, or a malformed entry is ignored and the files
-are parsed, and deleting it changes no output.  Readers keep it up to date,
-not writers: a query that parsed any file, or found entries for files that
-are gone, rewrites the whole summary through an exclusively created temp
-file and an atomic rename, without taking the lock, and ignores any failure
-to write it.
+keyed on content it never goes stale; a rewritten record simply misses.  A
+warm query, one that finds every file's hash, does one unbuffered read and
+one sha256 per file, parses nothing and writes nothing.  The summary is
+only a cache: a missing, unreadable or malformed one, one that is not a
+regular file, or a malformed entry is ignored and the files are parsed, and
+deleting it changes no output.  Readers keep it up to date, not writers: a
+query that parsed any file, or found entries for files that are gone,
+rewrites the whole summary through an exclusively created temp file and an
+atomic rename, without taking the lock, and ignores any failure to write
+it.
 
 Statistics count *records* by default: a code (pruned to the requested
 grouping depth) scores one per record that selects it anywhere, which keeps
@@ -33,9 +35,11 @@ import io
 import json
 import os
 import stat
+from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 from .catalog import Catalog
@@ -100,8 +104,14 @@ class Corpus:
 
     def _read(self, record_id: str) -> tuple[Path, bytes]:
         path = self.path_for(record_id)
+        return path, self._read_bytes(record_id, str(path))
+
+    def _read_bytes(self, record_id: str, path: str) -> bytes:
+        """The bytes of the file at ``path``, which is ``path_for``'s text
+        for ``record_id``, in one unbuffered read."""
         try:
-            return path, path.read_bytes()
+            with open(path, "rb", buffering=0) as file:
+                return file.read()
         except FileNotFoundError:
             raise RecordNotFoundError(
                 f"no record {record_id!r} in {self.root}") from None
@@ -112,16 +122,19 @@ class Corpus:
         """Each record's selection codes as canonical texts, in record
         order, served from the summary where a file's hash is in it."""
         summary = self._read_summary()
+        # The text path_for would give for any name: "x" is cut off again.
+        prefix = str(self.root / "x")[:-1]
         fresh: dict[str, list[str]] = {}
         out = []
         missed = False
         for record_id in self.record_ids():
-            path, data = self._read(record_id)
+            path = f"{prefix}{record_id}{RECORD_FILE_SUFFIX}"
+            data = self._read_bytes(record_id, path)
             key = hashlib.sha256(data).hexdigest()
             texts = summary.get(key)
             if type(texts) is not list or \
                     any(type(text) is not str for text in texts):
-                texts = _record_texts(_parse_file(path, data))
+                texts = _record_texts(_parse_file(Path(path), data))
                 missed = True
             fresh[key] = texts
             out.append(texts)
@@ -243,7 +256,10 @@ def _cut(text: str, depth: int, merge_profiles: bool) -> str:
     them when it is shallower), without the profile if merging."""
     if merge_profiles:
         text = text[text.find(":") + 1:]
-    return ".".join(text.split(".", depth)[:depth])
+    parts = text.split(".", depth)
+    if len(parts) > depth:
+        return text[:-len(parts[depth]) - 1]
+    return text
 
 
 def _group_depth(group_by: str) -> int:
@@ -304,20 +320,19 @@ def compute_stats(records: Iterable[AttackRecord], catalog: Catalog,
     ``-1``, say) raises :class:`InvalidCodeError` at any grouping depth.
     """
     depth = _group_depth(group_by)
-    counts: dict[str, int] = {}
+    counts: Counter[str] = Counter()
     record_total = 0
     selection_total = 0
     for codes in _group_codes(records, depth, merge_profiles):
         record_total += 1
         selection_total += len(codes)
-        if not count_selections:
-            codes = sorted(set(codes))
-        for code in codes:
-            counts[code] = counts.get(code, 0) + 1
+        counts.update(codes if count_selections else set(codes))
     total = selection_total if count_selections else record_total
+    # A total of 0 leaves no counts, so no share divides by it.
+    shares = {count: Fraction(count, total) for count in set(counts.values())}
     entries = tuple(sorted(
         (StatsEntry(code, _full_name(catalog, code, merge_profiles), count,
-                    Fraction(count, total) if total else Fraction(0))
+                    shares[count])
          for code, count in counts.items()),
         key=lambda entry: (-entry.count, entry.code)))
     return StatsReport(group_by=group_by, total=total, entries=entries)
@@ -332,14 +347,10 @@ def co_occurrence(records: Iterable[AttackRecord],
     diagonal ``(a, a)`` equals the plain frequency.
     """
     depth = _group_depth(group_by)
-    pairs: dict[tuple[str, str], int] = {}
+    pairs: Counter[tuple[str, str]] = Counter()
     for codes in _group_codes(records, depth, merge_profiles):
-        present = sorted(set(codes))
-        for i, left in enumerate(present):
-            for right in present[i:]:
-                key = (left, right)
-                pairs[key] = pairs.get(key, 0) + 1
-    return pairs
+        pairs.update(combinations_with_replacement(sorted(set(codes)), 2))
+    return dict(pairs)
 
 
 # -- renderers ----------------------------------------------------------------

@@ -230,8 +230,7 @@ def _validate_application(catalog: Catalog, scope: int,
         err("application-taxonomy", None,
             "BG is the background taxonomy; it is not repeatable")
 
-    codes: list[TaxonomyCode] = []  # the selection codes that render
-    texts: list[str] = []  # and their canonical texts
+    texts: list[str] = []  # canonical texts of the selection codes that render
     profile, tax = taxonomy.profile, taxonomy.taxonomy
     for index, selection in enumerate(application.selections):
         code = selection.code
@@ -240,7 +239,6 @@ def _validate_application(catalog: Catalog, scope: int,
         except InvalidCodeError as exc:
             err("invalid-code", index, str(exc))
             continue
-        codes.append(code)
         texts.append(code_text)
         if tax_ok and (code.taxonomy != tax or code.profile != profile):
             err("selection-taxonomy-mismatch", index,
@@ -270,22 +268,21 @@ def _validate_application(catalog: Catalog, scope: int,
                  f"{code_text} selects a whole item that has leaves; "
                  "pick a leaf when one fits")
 
-    # Two codes that are equal, or nested, have equal texts or one text is
-    # the other's '.'-bounded prefix; sorted, such a pair stands side by
-    # side.  Only then can the pairwise checks warn.
-    texts.sort()
+    # Two codes are equal, or nested, when their texts are equal or one
+    # text is the other's '.'-bounded prefix; sorted, such a pair stands
+    # side by side.  Only then can the pairwise checks warn.
+    ordered = sorted(texts)
     if any(b == a or b.startswith(a + ".")
-           for a, b in zip(texts, texts[1:])):
-        for i, a in enumerate(codes):
-            for b in codes[i + 1:]:
+           for a, b in zip(ordered, ordered[1:])):
+        for i, a in enumerate(texts):
+            for b in texts[i + 1:]:
                 if a == b:
                     warn("duplicate-selection", None,
-                         f"{format_code(a)} is selected more than once")
-                elif a.is_prefix_of(b) or b.is_prefix_of(a):
-                    shallow, deep = (a, b) if a.is_prefix_of(b) else (b, a)
+                         f"{a} is selected more than once")
+                elif b.startswith(a + ".") or a.startswith(b + "."):
+                    shallow, deep = sorted((a, b), key=len)
                     warn("redundant-selection", None,
-                         f"{format_code(shallow)} is already implied by "
-                         f"{format_code(deep)}")
+                         f"{shallow} is already implied by {deep}")
 
     if scope == BACKGROUND:
         if not application.selections:

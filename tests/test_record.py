@@ -215,14 +215,15 @@ def test_redundant_and_duplicate_selection_warnings(catalog):
 
 def _pairwise_warnings(application):
     """The duplicate and redundant warnings of one scope as an all-pairs
-    comparison of its renderable codes gives them, in that order."""
+    comparison of its renderable codes gives them, in that order.  Codes
+    are compared by value: a list ``leaf_path`` counts as its tuple."""
     codes = []
     for selection in application.selections:
         try:
-            format_code(selection.code)
+            text = format_code(selection.code)
         except InvalidCodeError:
             continue
-        codes.append(selection.code)
+        codes.append(parse_code(text))
     out = []
     for i, a in enumerate(codes):
         for b in codes[i + 1:]:
@@ -255,7 +256,7 @@ def _nesting_records(catalog):
     ref = apply_taxonomy(hand, catalog, "UE", "u")
     for code in ("UE.K.B.1", "UE.K.B.10", "UE.K.B.1.2", "UE.K.B.1",
                  "UE.K.B", "UE.K", "UE", "IoT:UE.K.B.1.2",
-                 TaxonomyCode("UE", "K", "B", [1]),  # equal text, not ==
+                 TaxonomyCode("UE", "K", "B", [1]),  # a list leaf_path
                  TaxonomyCode("UE", "K", "B", [1, 2]),
                  TaxonomyCode("UE", "K", "B", (-1,)),  # does not render
                  "UE.K.BA", "UE.K.BA.1", "IoT", "IoT:UE"):
@@ -279,6 +280,23 @@ def test_nesting_warnings_match_the_all_pairs_comparison(catalog):
         assert got == expected, record.record_id
         nested += bool(expected)
     assert nested > 150
+
+
+def test_a_list_leaf_path_is_compared_by_value(catalog):
+    # format_code renders [4] as it renders (4,), but [4] != (4,).
+    for leaf_path, warning in (
+            ([4], ("duplicate-selection",
+                   "BG.K.R.4 is selected more than once")),
+            ([4, 1], ("redundant-selection",
+                      "BG.K.R.4 is already implied by BG.K.R.4.1"))):
+        record = build_minimal(catalog)  # selects BG.K.R.4
+        record.background.selections.append(
+            Selection(TaxonomyCode("BG", "K", "R", leaf_path)))
+        warnings = [(v.rule, v.message)
+                    for v in validate_record(record, catalog).warnings
+                    if v.rule in ("duplicate-selection",
+                                  "redundant-selection")]
+        assert warnings == [warning]
 
 
 def test_validation_is_permutation_invariant(catalog):

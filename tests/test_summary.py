@@ -4,13 +4,17 @@ a corpus without one."""
 from __future__ import annotations
 
 import contextlib
+import errno
 import hashlib
 import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import threading
+from collections.abc import Iterable
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -30,8 +34,18 @@ from taxidma.corpus import (
     render_json,
     render_table,
 )
-from taxidma.errors import MalformedFileError
-from taxidma.record import BACKGROUND, add_selection, new_record, read_record
+from taxidma.errors import (
+    MalformedFileError,
+    RecordNotFoundError,
+    StorageFailureError,
+)
+from taxidma.record import (
+    BACKGROUND,
+    AttackRecord,
+    add_selection,
+    new_record,
+    read_record,
+)
 
 FORMATS = {"table": render_table, "csv": render_csv, "json": render_json}
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -254,12 +268,12 @@ def test_summary_keeps_one_entry_per_current_file(tmp_path, bundled_catalog):
         assert entries()[key.hexdigest()] == texts
 
 
-def corpus_texts(corpus: Corpus) -> list[list[str]]:
+def corpus_texts(records: Iterable[AttackRecord]) -> list[list[str]]:
     """Each record's selection codes in record order, parsed afresh."""
     return [[format_code(selection.code)
              for application in (record.background, *record.applications)
              for selection in application.selections]
-            for record in corpus]
+            for record in records]
 
 
 def test_summary_entries_keep_order_and_duplicates(tmp_path, bundled_catalog):
@@ -451,3 +465,127 @@ def test_summary_survives_across_processes(corpus):
     assert (kept.st_ino, kept.st_mtime_ns) == \
         (written.st_ino, written.st_mtime_ns)
     assert json.loads(cold.stdout)["total"] == 50
+
+
+def _listed_then(corpus: Corpus, monkeypatch, change) -> None:
+    """Make ``corpus`` list its files as they are, then run ``change`` on
+    ``x.taxidma.json`` before any file is read."""
+    def listed():
+        ids = Corpus.record_ids(corpus)
+        change(corpus.root / "x.taxidma.json")
+        return ids
+
+    monkeypatch.setattr(corpus, "record_ids", listed)
+
+
+def _make_directory(path: Path) -> None:
+    path.unlink()
+    path.mkdir()
+
+
+@pytest.mark.parametrize("root_form", ["absolute", "dot", "trailing-slash"])
+def test_read_errors_keep_their_types_and_texts(tmp_path, bundled_catalog,
+                                                monkeypatch, root_form):
+    record = new_record("x", "t", "d")
+    add_selection(record, BACKGROUND, "BG.K.R.4")
+    Corpus(tmp_path).store(record)
+    compute_stats(Corpus(tmp_path), bundled_catalog)  # later reads hit
+    root, shown, listed = {
+        "absolute": (tmp_path, str(tmp_path), f"{tmp_path}/x.taxidma.json"),
+        "dot": (".", ".", "x.taxidma.json"),
+        "trailing-slash": (f"{tmp_path}/", str(tmp_path),
+                           f"{tmp_path}/x.taxidma.json"),
+    }[root_form]
+    monkeypatch.chdir(tmp_path)
+    corpus = Corpus(root)
+    queries = (lambda: compute_stats(corpus, bundled_catalog),
+               lambda: co_occurrence(corpus))
+
+    _listed_then(corpus, monkeypatch, Path.unlink)
+    for query in queries:
+        corpus.store(record)
+        with pytest.raises(RecordNotFoundError) as gone:
+            query()
+        assert str(gone.value) == f"no record 'x' in {shown}"
+
+    _listed_then(corpus, monkeypatch, _make_directory)
+    for query in queries:
+        corpus.store(record)
+        with pytest.raises(StorageFailureError) as directory:
+            query()
+        assert str(directory.value) == f"cannot read {listed}: [Errno " \
+            f"{errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{listed}'"
+        (tmp_path / "x.taxidma.json").rmdir()
+
+
+def _reference_pairs(texts_per_record, group_by: str,
+                     merge_profiles: bool) -> dict[tuple[str, str], int]:
+    """Pair counts as a nested loop over each record's sorted group codes
+    inserts them."""
+    depth = 2 + GROUPINGS.index(group_by)
+    pairs: dict[tuple[str, str], int] = {}
+    for texts in texts_per_record:
+        codes = set()
+        for text in texts:
+            if merge_profiles:
+                text = text[text.find(":") + 1:]
+            codes.add(".".join(text.split(".", depth)[:depth]))
+        present = sorted(codes)
+        for i, left in enumerate(present):
+            for right in present[i:]:
+                pairs[left, right] = pairs.get((left, right), 0) + 1
+    return pairs
+
+
+def test_result_shapes(corpus, records, bundled_catalog):
+    for group_by in GROUPINGS:
+        for merge_profiles in (False, True):
+            for source in (corpus, records):
+                expected = _reference_pairs(corpus_texts(source), group_by,
+                                            merge_profiles)
+                pairs = co_occurrence(source, group_by,
+                                      merge_profiles=merge_profiles)
+                assert type(pairs) is dict
+                assert list(pairs.items()) == list(expected.items())
+            for count_selections in (False, True):
+                report = compute_stats(corpus, bundled_catalog, group_by,
+                                       count_selections=count_selections,
+                                       merge_profiles=merge_profiles)
+                assert report.entries
+                for entry in report.entries:
+                    assert type(entry.share) is Fraction
+                    assert entry.share == Fraction(entry.count, report.total)
+
+
+def test_warm_queries_build_no_path_per_record(tmp_path, records,
+                                               bundled_catalog, monkeypatch):
+    corpora = []
+    for size in (10, 50):
+        corpus = Corpus(tmp_path / str(size))
+        for record in records[:size]:
+            corpus.store(record)
+        compute_stats(corpus, bundled_catalog)  # writes the summary
+        corpora.append(corpus)
+    calls = []
+
+    def counting(name, method):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return method(*args, **kwargs)
+        return counted
+
+    for cls, name in ((pathlib.PurePath, "__truediv__"),
+                      (pathlib.PurePath, "joinpath"),
+                      (pathlib.PurePath, "with_name"),
+                      (pathlib.Path, "open"),
+                      (pathlib.Path, "read_bytes"),
+                      (pathlib.Path, "read_text")):
+        monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
+    counts = []
+    for corpus in corpora:
+        calls.clear()
+        for group_by in GROUPINGS:
+            compute_stats(corpus, bundled_catalog, group_by)
+            co_occurrence(corpus, group_by)
+        counts.append(sorted(calls))
+    assert counts[0] == counts[1]
