@@ -11,7 +11,10 @@ A catalog document is JSON with this shape::
          {"taxonomy", "category", "item", "definition": <item>}]}]}
 
 Loading is permissive about tree content (verification is a separate pass)
-but strict about structure, duplicate codes, and profile references.
+but strict about structure, duplicate codes, and profile references.  It
+keeps the document's bytes and hashes them on the first read of
+``Catalog.checksum``, so loading never imports ``hashlib`` and with it
+OpenSSL.
 
 Verification runs named rules over a loaded catalog.  Most content rules
 pin a fixed leaf set (attack categories, lifecycle stages, IoT domains,
@@ -24,7 +27,6 @@ presence) stay functions.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -149,7 +151,8 @@ class Catalog:
         self.version = version
         self.taxonomies = taxonomies
         self.profiles = profiles
-        self.checksum = checksum
+        # load_catalog puts the document's bytes here, hashed on first read.
+        self._checksum: str | bytes = checksum
         self._tax_by_code = _first_by_code(taxonomies)
         self._profile_by_code = _first_by_code(profiles)
         self._effective: dict[tuple[str | None, str, str], tuple[Item, ...]] = {}
@@ -183,6 +186,16 @@ class Catalog:
                     # Cache every combination so lookups never special-case.
                     self._effective.setdefault((profile.code, taxonomy.code,
                                                 category.code), tuple(items))
+
+    @property
+    def checksum(self) -> str:
+        """The sha256 hex digest of the loaded document's bytes, or the
+        string given when the catalog was built directly."""
+        checksum = self._checksum
+        if type(checksum) is bytes:
+            from hashlib import sha256  # loads OpenSSL, so not at load
+            checksum = self._checksum = sha256(checksum).hexdigest()
+        return checksum
 
     # -- basic access ------------------------------------------------------
 
@@ -450,11 +463,10 @@ def load_catalog(source: bytes | str) -> Catalog:
     and :class:`DanglingProfileReferenceError` for overrides that target
     nothing.
     """
-    data = source.encode("utf-8") if isinstance(source, str) else source
-    checksum = hashlib.sha256(data).hexdigest()
     try:
+        data = source.encode("utf-8") if isinstance(source, str) else source
         doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (UnicodeError, json.JSONDecodeError, RecursionError) as exc:
         raise MalformedDocumentError(f"not a JSON document: {exc}") from exc
     if not isinstance(doc, dict):
         raise MalformedDocumentError("top level: expected an object")
@@ -522,7 +534,9 @@ def load_catalog(source: bytes | str) -> Catalog:
             overrides.append(Override(ov_tax, ov_cat, ov_item, definition))
         profiles.append(Profile(pcode, pname, tuple(overrides)))
 
-    return Catalog(version, tuple(taxonomies), tuple(profiles), checksum)
+    catalog = Catalog(version, tuple(taxonomies), tuple(profiles), "")
+    catalog._checksum = bytes(data)  # a copy only of a mutable source
+    return catalog
 
 
 _BUNDLED: Catalog | None = None

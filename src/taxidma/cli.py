@@ -16,11 +16,11 @@ Exit codes: 0 success, 1 validation findings (or an aborted wizard),
 """
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .catalog import Catalog, load_bundled_catalog, load_catalog, \
@@ -56,11 +56,15 @@ from .stix import (
     validate_bundle,
 )
 
+if TYPE_CHECKING:  # imported by build_parser, its only user
+    import argparse
+
 USAGE_ERROR = 2
 FORMAT_ERROR = 3
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
     parser = argparse.ArgumentParser(
         prog="taxidma",
         description="Classify identity-management attacks, exchange them as "

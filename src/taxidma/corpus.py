@@ -25,12 +25,15 @@ grouping depth) scores one per record that selects it anywhere, which keeps
 heavily annotated records from drowning out the rest.  Shares are exact
 fractions of the record total and only the renderers round them (to six
 decimal places).
+
+Storing and loading records import none of ``hashlib``, ``fractions`` and
+``csv``.  Each is imported on first use: ``hashlib`` (and with it OpenSSL)
+by a query over a :class:`Corpus`, for the summary keys, ``fractions`` by
+:func:`compute_stats` and ``csv`` by :func:`render_csv`.
 """
 from __future__ import annotations
 
 import contextlib
-import csv
-import hashlib
 import io
 import json
 import os
@@ -38,9 +41,9 @@ import stat
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations_with_replacement
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .catalog import Catalog
 from .codes import format_code
@@ -58,6 +61,9 @@ from .record import (
     read_record,
     write_record,
 )
+
+if TYPE_CHECKING:  # imported by compute_stats, its only user
+    from fractions import Fraction
 
 LOCK_NAME = ".taxidma-lock"
 SUMMARY_NAME = ".taxidma-summary"
@@ -121,6 +127,7 @@ class Corpus:
     def _selection_texts(self) -> list[list[str]]:
         """Each record's selection codes as canonical texts, in record
         order, served from the summary where a file's hash is in it."""
+        import hashlib
         summary = self._read_summary()
         # The text path_for would give for any name: "x" is cut off again.
         prefix = str(self.root / "x")[:-1]
@@ -319,6 +326,7 @@ def compute_stats(records: Iterable[AttackRecord], catalog: Catalog,
     selection whose code breaks the grammar (an in-memory code with leaf
     ``-1``, say) raises :class:`InvalidCodeError` at any grouping depth.
     """
+    import fractions
     depth = _group_depth(group_by)
     counts: Counter[str] = Counter()
     record_total = 0
@@ -329,7 +337,8 @@ def compute_stats(records: Iterable[AttackRecord], catalog: Catalog,
         counts.update(codes if count_selections else set(codes))
     total = selection_total if count_selections else record_total
     # A total of 0 leaves no counts, so no share divides by it.
-    shares = {count: Fraction(count, total) for count in set(counts.values())}
+    shares = {count: fractions.Fraction(count, total)
+              for count in set(counts.values())}
     entries = tuple(sorted(
         (StatsEntry(code, _full_name(catalog, code, merge_profiles), count,
                     shares[count])
@@ -361,6 +370,7 @@ def _share_text(share: Fraction) -> str:
 
 
 def render_csv(report: StatsReport) -> str:
+    import csv
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["code", "name", "count", "share"])

@@ -25,7 +25,6 @@ import uuid
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from hashlib import sha1
 
 from .catalog import Catalog
 from .codes import TaxonomyCode, format_code, parse_code
@@ -504,11 +503,17 @@ class _IdMint:
         return f"{object_type}--{value}"
 
 
+_sha1 = None  # hashlib.sha1, imported by the first deterministic id
+
+
 def _uuid5_text(name: str) -> str:
     """``str(uuid.uuid5(TAXIDMA_NAMESPACE, name))`` (RFC 4122 section 4.3),
     without building a ``uuid.UUID``."""
-    digest = bytearray(sha1(_NAMESPACE_BYTES + name.encode("utf-8"),
-                            usedforsecurity=False).digest()[:16])
+    global _sha1
+    if _sha1 is None:  # hashlib loads OpenSSL: not for random ids
+        from hashlib import sha1 as _sha1
+    digest = bytearray(_sha1(_NAMESPACE_BYTES + name.encode("utf-8"),
+                             usedforsecurity=False).digest()[:16])
     digest[6] = digest[6] & 0x0F | 0x50  # version 5
     digest[8] = digest[8] & 0x3F | 0x80  # RFC 4122 variant
     text = digest.hex()

@@ -10,6 +10,7 @@ import pytest
 
 from taxidma.catalog import (
     ALL_RULES,
+    BUNDLED_CATALOG_RESOURCE,
     CONTENT_RULES,
     Catalog,
     Category,
@@ -83,6 +84,26 @@ def test_checksum_is_stable_and_input_sensitive(catalog):
     changed = load_catalog(text.replace("Solo", "Duo"))
     assert changed.checksum != first.checksum
     assert catalog.checksum != first.checksum
+
+
+def test_checksum_is_the_sha256_of_the_loaded_bytes(catalog):
+    data = (resources.files("taxidma") / "data" /
+            BUNDLED_CATALOG_RESOURCE).read_bytes()
+    assert catalog.checksum == hashlib.sha256(data).hexdigest()
+    text = make_doc()
+    loaded = load_catalog(text)
+    first = loaded.checksum
+    assert first == hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert loaded.checksum is first
+    # A mutable source is hashed as it was at load.
+    source = bytearray(text.encode("utf-8"))
+    from_buffer = load_catalog(source)
+    source[:] = b"{}"
+    assert from_buffer.checksum == first
+    tree = Taxonomy("BG", "Background", ())
+    assert Catalog("x", (tree,), (), "0").checksum == "0"
+    with pytest.raises(AttributeError):
+        loaded.checksum = "0"
 
 
 def test_bundled_catalog_verifies_clean(catalog):
@@ -501,6 +522,13 @@ def test_unknown_item_kind_rejected():
     doc["taxonomies"][0]["categories"][0]["items"][0]["kind"] = "fancy"
     with pytest.raises(MalformedDocumentError):
         load_catalog(json.dumps(doc))
+
+
+def test_load_rejects_text_that_cannot_be_encoded():
+    # A lone surrogate has no UTF-8 form.
+    for text in ('"\ud800"', '{"version": "\udfff", "taxonomies": []}'):
+        with pytest.raises(MalformedDocumentError, match="not a JSON document"):
+            load_catalog(text)
 
 
 def test_load_rejects_nesting_too_deep_to_decode():
