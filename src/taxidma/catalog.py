@@ -44,7 +44,9 @@ from .errors import (
 
 BUNDLED_CATALOG_RESOURCE = "taxidma-v2.catalog.json"
 
-ITEM_KINDS = ("enumerated", "free_text", "external_reference")
+# Item kinds whose selections carry free text instead of a leaf.
+TEXT_KINDS = ("free_text", "external_reference")
+ITEM_KINDS = ("enumerated", *TEXT_KINDS)
 
 # Item display names whose code letter is fixed convention-wide.
 FIXED_ITEM_CODES = {
@@ -735,16 +737,13 @@ def _rule_ue_identity_types(catalog: Catalog) -> list[CatalogViolation]:
     if missing:
         out.append(_v("ue-identity-types", "UE.I.T",
                       f"missing {sorted(missing)}"))
-    financial = next((l for l in item.leaves if l.name == "Financial"), None)
-    if financial is None or {"Credit Card", "Bank"} - {c.name for c in
-                                                       financial.children}:
-        out.append(_v("ue-identity-types", "UE.I.T.1",
-                      "Financial sub-leaves incomplete"))
-    state = next((l for l in item.leaves if l.name == "State"), None)
-    if state is None or {"Tax", "eID", "Social Security Number"} - {
-            c.name for c in state.children}:
-        out.append(_v("ue-identity-types", "UE.I.T.3",
-                      "State sub-leaves incomplete"))
+    for number, label, need in (
+            (1, "Financial", {"Credit Card", "Bank"}),
+            (3, "State", {"Tax", "eID", "Social Security Number"})):
+        leaf = next((l for l in item.leaves if l.name == label), None)
+        if leaf is None or need - {c.name for c in leaf.children}:
+            out.append(_v("ue-identity-types", f"UE.I.T.{number}",
+                          f"{label} sub-leaves incomplete"))
     return out
 
 

@@ -23,8 +23,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .catalog import Catalog, load_bundled_catalog, load_catalog, \
-    verify_catalog
+from .catalog import TEXT_KINDS, Catalog, load_bundled_catalog, \
+    load_catalog, verify_catalog
 from .codes import format_code, parse_code
 from .corpus import Corpus, GROUPINGS, compute_stats, render_csv, \
     render_json, render_table
@@ -138,10 +138,6 @@ def _load_catalog(args) -> Catalog:
     return load_catalog(Path(args.catalog).read_text(encoding="utf-8"))
 
 
-def _println(text: str = "") -> None:
-    print(text)
-
-
 def _error(text: str) -> None:
     print(text, file=sys.stderr)
 
@@ -151,7 +147,7 @@ def _cmd_name(args, catalog: Catalog) -> int:
     for text in args.codes:
         try:
             code = parse_code(text, lenient=args.lenient)
-            _println(catalog.full_name(code))
+            print(catalog.full_name(code))
         except (CodeSyntaxError, UnknownPathError) as exc:
             _error(f"{text}: {exc}")
             status = 1
@@ -168,20 +164,20 @@ def _cmd_list(args, catalog: Catalog) -> int:
             _error(f"{args.prefix}: {exc}")
             return 1
     for code in catalog.enumerate_codes(prefix):
-        _println(f"{format_code(code)}  {catalog.lookup(code).name}")
+        print(f"{format_code(code)}  {catalog.lookup(code).name}")
     return 0
 
 
 def _cmd_check_catalog(args, catalog: Catalog) -> int:
     violations = verify_catalog(catalog)
     for violation in violations:
-        _println(f"{violation.rule}: {violation.path}: {violation.message}")
+        print(violation)
     if violations:
-        _println(f"{len(violations)} violation(s)")
+        print(f"{len(violations)} violation(s)")
         return 1
     leaf_count = sum(1 for _ in catalog.enumerate_codes())
-    _println(f"catalog OK: {len(catalog.taxonomies)} taxonomies, "
-             f"{len(catalog.profiles)} profiles, {leaf_count} codes")
+    print(f"catalog OK: {len(catalog.taxonomies)} taxonomies, "
+          f"{len(catalog.profiles)} profiles, {leaf_count} codes")
     return 0
 
 
@@ -195,13 +191,12 @@ def _cmd_validate(args, catalog: Catalog) -> int:
             return FORMAT_ERROR
         report = validate_record(record, catalog)
         for violation in report.violations:
-            _println(f"{name}: {violation.severity}: {violation.rule}: "
-                     f"{violation.path}: {violation.message}")
+            print(f"{name}: {violation}")
         if report.ok:
-            _println(f"{name}: OK ({len(report.warnings)} warning(s))")
+            print(f"{name}: OK ({len(report.warnings)} warning(s))")
         else:
-            _println(f"{name}: INVALID ({len(report.errors)} error(s), "
-                     f"{len(report.warnings)} warning(s))")
+            print(f"{name}: INVALID ({len(report.errors)} error(s), "
+                  f"{len(report.warnings)} warning(s))")
             status = 1
     return status
 
@@ -227,17 +222,18 @@ def _wizard_selections(catalog: Catalog, record, ref: int, tag: str,
             code = parse_code(text, lenient=True)
             node = catalog.lookup(code)
         except (CodeSyntaxError, UnknownPathError) as exc:
-            _println(f"  ! {exc}")
+            print(f"  ! {exc}")
             continue
         free_text = note = None
-        if node.item_kind in ("free_text", "external_reference"):
+        if node.item_kind in TEXT_KINDS:
             free_text = _ask(input_fn, "  text> ") or None
             note = _ask(input_fn, "  note (optional)> ") or None
         add_selection(record, ref, code, free_text=free_text, note=note)
-        _println(f"  + {catalog.full_name(code)}")
+        print(f"  + {catalog.full_name(code)}")
 
 
-def _cmd_encode(args, catalog: Catalog, input_fn) -> int:
+def _cmd_encode(args, catalog: Catalog) -> int:
+    input_fn = args.input_fn
     try:
         record_id = _ask(input_fn, "record id> ")
         title = _ask(input_fn, "title> ")
@@ -260,7 +256,7 @@ def _cmd_encode(args, catalog: Catalog, input_fn) -> int:
                                        parse_code(taxonomy, lenient=True),
                                        label)
             except TaxidmaError as exc:
-                _println(f"  ! {exc}")
+                print(f"  ! {exc}")
                 continue
             _wizard_selections(catalog, record, index, taxonomy, input_fn)
     except AbortedError as exc:
@@ -272,8 +268,7 @@ def _cmd_encode(args, catalog: Catalog, input_fn) -> int:
 
     report = validate_record(record, catalog)
     for violation in report.violations:
-        _println(f"{violation.severity}: {violation.rule}: "
-                 f"{violation.path}: {violation.message}")
+        print(violation)
     if not report.ok:
         _error(f"not written: {len(report.errors)} validation error(s)")
         return 1
@@ -283,7 +278,7 @@ def _cmd_encode(args, catalog: Catalog, input_fn) -> int:
     except StorageFailureError as exc:
         _error(str(exc))
         return FORMAT_ERROR
-    _println(f"wrote {path}")
+    print(f"wrote {path}")
     return 0
 
 
@@ -356,6 +351,12 @@ def _cmd_stats(args, catalog: Catalog) -> int:
     return 0
 
 
+_COMMANDS = {"name": _cmd_name, "list": _cmd_list,
+             "check-catalog": _cmd_check_catalog, "validate": _cmd_validate,
+             "encode": _cmd_encode, "to-stix": _cmd_to_stix,
+             "from-stix": _cmd_from_stix, "stats": _cmd_stats}
+
+
 def run(argv: list[str] | None = None, input_fn=input) -> int:
     try:
         args = _shared_parser().parse_args(argv)
@@ -370,23 +371,8 @@ def run(argv: list[str] | None = None, input_fn=input) -> int:
         _error(f"bad catalog: {exc}")
         return FORMAT_ERROR
 
-    if args.command == "name":
-        return _cmd_name(args, catalog)
-    if args.command == "list":
-        return _cmd_list(args, catalog)
-    if args.command == "check-catalog":
-        return _cmd_check_catalog(args, catalog)
-    if args.command == "validate":
-        return _cmd_validate(args, catalog)
-    if args.command == "encode":
-        return _cmd_encode(args, catalog, input_fn)
-    if args.command == "to-stix":
-        return _cmd_to_stix(args, catalog)
-    if args.command == "from-stix":
-        return _cmd_from_stix(args, catalog)
-    if args.command == "stats":
-        return _cmd_stats(args, catalog)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    args.input_fn = input_fn
+    return _COMMANDS[args.command](args, catalog)
 
 
 def main() -> None:

@@ -95,21 +95,6 @@ class TaxonomyCode:
             return TaxonomyCode(self.taxonomy, None, None, (), self.profile)
         return None
 
-    def is_prefix_of(self, other: TaxonomyCode) -> bool:
-        """True when ``other`` lies in the subtree rooted at this code
-        (a code is a prefix of itself)."""
-        if (self.profile, self.taxonomy) != (other.profile, other.taxonomy):
-            return False
-        if self.category is None:
-            return True
-        if self.category != other.category:
-            return False
-        if self.item is None:
-            return True
-        if self.item != other.item:
-            return False
-        return other.leaf_path[: len(self.leaf_path)] == self.leaf_path
-
     def __str__(self) -> str:
         return format_code(self)
 

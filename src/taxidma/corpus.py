@@ -57,6 +57,7 @@ from .errors import (
 from .record import (
     RECORD_FILE_SUFFIX,
     AttackRecord,
+    _check_record_id,
     _indented_json,
     read_record,
     write_record,
@@ -73,10 +74,6 @@ _SUMMARY_FORMAT = "taxidma-summary 1"
 _SUMMARY_READ_FLAGS = (os.O_RDONLY | getattr(os, "O_NOFOLLOW", 0)
                        | getattr(os, "O_NONBLOCK", 0))
 GROUPINGS = ("category", "item", "leaf")
-# Dot-separated segments a group code keeps: TAX.CAT, TAX.CAT.ITEM and
-# TAX.CAT.ITEM.n.
-_GROUP_DEPTHS = {group_by: 2 + level
-                 for level, group_by in enumerate(GROUPINGS)}
 
 
 class Corpus:
@@ -106,11 +103,8 @@ class Corpus:
             yield self.load(record_id)
 
     def load(self, record_id: str) -> AttackRecord:
-        return _parse_file(*self._read(record_id))
-
-    def _read(self, record_id: str) -> tuple[Path, bytes]:
         path = self.path_for(record_id)
-        return path, self._read_bytes(record_id, str(path))
+        return _parse_file(path, self._read_bytes(record_id, str(path)))
 
     def _read_bytes(self, record_id: str, path: str) -> bytes:
         """The bytes of the file at ``path``, which is ``path_for``'s text
@@ -193,7 +187,9 @@ class Corpus:
 
     def store(self, record: AttackRecord) -> Path:
         """Write (or replace) one record, atomically and under the corpus
-        lock."""
+        lock.  An id that ``new_record`` would refuse raises
+        :class:`InvalidIdentifierError` before anything is written."""
+        _check_record_id(record.record_id)
         path = self.path_for(record.record_id)
         text = write_record(record)
         try:
@@ -274,7 +270,9 @@ def _group_depth(group_by: str) -> int:
         raise ValueError(
             f"group_by must be one of {', '.join(GROUPINGS)}; "
             f"got {group_by!r}")
-    return _GROUP_DEPTHS[group_by]
+    # Dot-separated segments a group code keeps: TAX.CAT, TAX.CAT.ITEM and
+    # TAX.CAT.ITEM.n.
+    return 2 + GROUPINGS.index(group_by)
 
 
 def _record_texts(record: AttackRecord) -> list[str]:

@@ -15,7 +15,7 @@ from datetime import datetime, timezone
 from json.encoder import encode_basestring as _quote
 from typing import Final
 
-from .catalog import Catalog
+from .catalog import TEXT_KINDS, Catalog
 from .codes import KNOWN_TAXONOMIES, TaxonomyCode, format_code, parse_code
 from .errors import (
     BackgroundNotApplicableError,
@@ -254,7 +254,7 @@ def _validate_application(catalog: Catalog, scope: int,
             err("unresolvable-code", index, str(exc))
             continue
         kind = item.kind
-        if kind == "free_text" or kind == "external_reference":
+        if kind in TEXT_KINDS:
             if not selection.free_text:
                 err("free-text-required", index,
                     f"{code_text} is a {kind} item; free_text is required")

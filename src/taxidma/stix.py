@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
-from .catalog import Catalog
+from .catalog import TEXT_KINDS, Catalog
 from .codes import TaxonomyCode, format_code, parse_code
 from .errors import (
     CodeSyntaxError,
@@ -406,7 +406,7 @@ def _plan(catalog: Catalog, where: str, tax_key: str, code: TaxonomyCode,
     if plan is not None:
         return plan
     _, _, item, _ = catalog.resolve(text)
-    if item.kind in ("free_text", "external_reference"):
+    if item.kind in TEXT_KINDS:
         plan = _VULNERABILITY if where == _BG and code.category == "K" \
             else _UNMAPPED
     else:
@@ -489,20 +489,6 @@ def _stamp(created: datetime) -> str:
         "%Y-%m-%dT%H:%M:%S.%f")[:-3] + "Z"
 
 
-class _IdMint:
-    def __init__(self, record_id: str, deterministic: bool):
-        self.record_id = record_id
-        self.deterministic = deterministic
-
-    def __call__(self, object_type: str, tag: str, ordinal: int = 0) -> str:
-        if self.deterministic:
-            value = _uuid5_text(
-                f"{self.record_id}|{object_type}|{tag}|{ordinal}")
-        else:
-            value = uuid.uuid4()
-        return f"{object_type}--{value}"
-
-
 _sha1 = None  # hashlib.sha1, imported by the first deterministic id
 
 
@@ -581,7 +567,12 @@ def to_stix(record: AttackRecord, catalog: Catalog,
     scopes = _checked_scopes(catalog, record, "cannot be serialized")
     background = scopes[0]
 
-    mint = _IdMint(record.record_id, options.deterministic_ids)
+    def mint(object_type: str, tag: str, ordinal: int = 0) -> str:
+        if options.deterministic_ids:
+            return f"{object_type}--" + _uuid5_text(
+                f"{record.record_id}|{object_type}|{tag}|{ordinal}")
+        return f"{object_type}--{uuid.uuid4()}"
+
     stamp = _stamp(record.created)
     objects: list[dict] = [extension_definition()]
 
@@ -766,26 +757,19 @@ class _Inverter:
 
     def __init__(self, catalog: Catalog):
         self.catalog = catalog
-        self.background: list[Selection] = []
-        self.background_tax: str | None = None
-        self.apps: dict[int, dict] = {}
+        # application index (None: the background) -> [first taxonomy
+        # marker, first name, selections]
+        self.scopes: dict[int | None, list] = {}
         self.residue: list[ResidueEntry] = []
 
     def _target(self, obj: dict, payload: dict) -> tuple[str, list[Selection]]:
         taxonomy, index = _scope_markers(obj, payload)
-        if index is None:
-            if taxonomy:
-                self.background_tax = self.background_tax or taxonomy
-            return self.background_tax or taxonomy or "BG", self.background
-        app = self.apps.get(index)
-        if app is None:
-            app = self.apps[index] = {"taxonomy": None, "label": None,
-                                      "selections": []}
-        if taxonomy and app["taxonomy"] is None:
-            app["taxonomy"] = taxonomy
-        if app["label"] is None and isinstance(obj.get("name"), str):
-            app["label"] = obj["name"]
-        return app["taxonomy"] or "SI", app["selections"]
+        scope = self.scopes.setdefault(index, [None, None, []])
+        if scope[0] is None and taxonomy:
+            scope[0] = taxonomy
+        if scope[1] is None and isinstance(obj.get("name"), str):
+            scope[1] = obj["name"]
+        return scope[0] or ("BG" if index is None else "SI"), scope[2]
 
     def _decode(self, obj: dict, tax_key: str, slot: _Slot, tokens,
                 sink: list[Selection]):
@@ -951,7 +935,8 @@ def from_stix(bundle: dict, catalog: Catalog
             created = _parse_stamp(obj.get("created"))
             if created:
                 break
-    background_code = _parse_tax_key(inverter.background_tax)
+    taxonomy, _, selections = inverter.scopes.pop(None, (None, None, []))
+    background_code = _parse_tax_key(taxonomy)
     if background_code is None or background_code.taxonomy != "BG":
         background_code = TaxonomyCode("BG")
 
@@ -972,16 +957,13 @@ def from_stix(bundle: dict, catalog: Catalog
         sources=[],
         created=created or datetime.now(timezone.utc).replace(microsecond=0),
         background=TaxonomyApplication(background_code, "background",
-                                       inverter.background),
+                                       selections),
     )
-    for index in sorted(inverter.apps):
-        app = inverter.apps[index]
-        tax_code = _parse_tax_key(app["taxonomy"], default="SI")
-        if tax_code is None:
-            tax_code = TaxonomyCode("SI")
+    for index in sorted(inverter.scopes):
+        taxonomy, label, selections = inverter.scopes[index]
+        tax_code = _parse_tax_key(taxonomy, default="SI") or TaxonomyCode("SI")
         record.applications.append(TaxonomyApplication(
-            tax_code, app["label"] or f"application {index}",
-            app["selections"]))
+            tax_code, label or f"application {index}", selections))
     return record, inverter.residue
 
 

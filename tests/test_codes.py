@@ -127,15 +127,6 @@ def test_format_rejects_broken_nesting():
             format_code(broken)
 
 
-def test_is_prefix_of():
-    deep = parse_code("UE.K.T.1.4.4")
-    for prefix in ("UE", "UE.K", "UE.K.T", "UE.K.T.1", "UE.K.T.1.4", "UE.K.T.1.4.4"):
-        assert parse_code(prefix).is_prefix_of(deep)
-    for non_prefix in ("UE.I", "UE.K.B", "UE.K.T.2", "UE.K.T.1.4.4.1",
-                       "SI.K.T.1", "IoT:UE.K"):
-        assert not parse_code(non_prefix).is_prefix_of(deep)
-
-
 def test_parent_chain_terminates():
     code = parse_code("IoT:SI.K.G.2")
     chain = []

@@ -25,6 +25,7 @@ from taxidma.corpus import (
 )
 from taxidma.errors import (
     InvalidCodeError,
+    InvalidIdentifierError,
     MalformedFileError,
     RecordNotFoundError,
     StorageFailureError,
@@ -34,6 +35,7 @@ from taxidma.record import (
     Selection,
     add_selection,
     new_record,
+    read_record,
     write_record,
 )
 
@@ -112,6 +114,16 @@ def test_held_lock_blocks_writes_then_clears(tmp_path):
     (tmp_path / LOCK_NAME).unlink()
     corpus.store(new_record("unblocked", "ok", ""))
     assert corpus.record_ids() == ["unblocked"]
+
+
+@pytest.mark.parametrize("record_id", ["../escaped", ""])
+def test_store_rejects_ids_that_escape_or_hide_in_the_root(tmp_path,
+                                                           record_id):
+    text = write_record(new_record("placeholder", "t", ""))
+    record = read_record(text.replace('"placeholder"', json.dumps(record_id)))
+    with pytest.raises(InvalidIdentifierError):
+        Corpus(tmp_path / "corpus").store(record)
+    assert list(tmp_path.rglob("*")) == []
 
 
 # -- statistics ---------------------------------------------------------------

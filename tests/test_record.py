@@ -213,6 +213,16 @@ def test_redundant_and_duplicate_selection_warnings(catalog):
     assert rules["duplicate-selection"] == 1
 
 
+def _nests(a, b):
+    """True when ``b`` lies in the subtree rooted at ``a``, field by field."""
+    if (a.profile, a.taxonomy) != (b.profile, b.taxonomy):
+        return False
+    for mine, theirs in ((a.category, b.category), (a.item, b.item)):
+        if mine is None or mine != theirs:
+            return mine is None
+    return b.leaf_path[:len(a.leaf_path)] == a.leaf_path
+
+
 def _pairwise_warnings(application):
     """The duplicate and redundant warnings of one scope as an all-pairs
     comparison of its renderable codes gives them, in that order.  Codes
@@ -230,8 +240,8 @@ def _pairwise_warnings(application):
             if a == b:
                 out.append(("duplicate-selection",
                             f"{format_code(a)} is selected more than once"))
-            elif a.is_prefix_of(b) or b.is_prefix_of(a):
-                shallow, deep = (a, b) if a.is_prefix_of(b) else (b, a)
+            elif _nests(a, b) or _nests(b, a):
+                shallow, deep = (a, b) if _nests(a, b) else (b, a)
                 out.append(("redundant-selection",
                             f"{format_code(shallow)} is already implied by "
                             f"{format_code(deep)}"))
