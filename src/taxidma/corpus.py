@@ -10,8 +10,10 @@ the records.  It maps the sha256 of each record file's bytes to that
 record's selection codes as canonical texts, so a query hashes each file
 and parses only the files whose hash it does not find.  Because an entry is
 keyed on content it never goes stale; a rewritten record simply misses.  A
-warm query, one that finds every file's hash, does one unbuffered read and
-one sha256 per file, parses nothing and writes nothing.  The summary is
+warm query, one that finds every file's hash, reads each file with bare
+``os.open``/``os.read`` calls and hashes it once, parses nothing and writes
+nothing, and cuts each distinct code text to its group code once per
+process (``_CUT_MEMOS``).  The summary is
 only a cache: a missing, unreadable or malformed one, one that is not a
 regular file, or a malformed entry is ignored and the files are parsed, and
 deleting it changes no output.  Readers keep it up to date, not writers: a
@@ -38,10 +40,12 @@ import io
 import json
 import os
 import stat
+import sys
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -49,6 +53,7 @@ from .catalog import Catalog
 from .codes import format_code
 from .errors import (
     CodeSyntaxError,
+    InvalidIdentifierError,
     MalformedFileError,
     RecordNotFoundError,
     StorageFailureError,
@@ -73,6 +78,9 @@ SUMMARY_NAME = ".taxidma-summary"
 _SUMMARY_FORMAT = "taxidma-summary 1"
 _SUMMARY_READ_FLAGS = (os.O_RDONLY | getattr(os, "O_NOFOLLOW", 0)
                        | getattr(os, "O_NONBLOCK", 0))
+_READ_CHUNK = 16 * 1024  # reads after the first, which fstat sizes
+# Characters no file name holds, so Corpus.load never reads outside the root.
+_UNSAFE_ID_CHARS = frozenset(("/", "\x00", os.altsep or "/"))
 GROUPINGS = ("category", "item", "leaf")
 
 
@@ -103,20 +111,34 @@ class Corpus:
             yield self.load(record_id)
 
     def load(self, record_id: str) -> AttackRecord:
+        """The record stored as ``record_id``.  An id holding a path
+        separator or NUL raises :class:`InvalidIdentifierError` before
+        anything is read."""
+        if not _UNSAFE_ID_CHARS.isdisjoint(str(record_id)):
+            raise InvalidIdentifierError(
+                f"record id {record_id!r} holds a path separator or NUL")
         path = self.path_for(record_id)
         return _parse_file(path, self._read_bytes(record_id, str(path)))
 
     def _read_bytes(self, record_id: str, path: str) -> bytes:
         """The bytes of the file at ``path``, which is ``path_for``'s text
-        for ``record_id``, in one unbuffered read."""
+        for ``record_id``, read to its end with bare syscalls."""
         try:
-            with open(path, "rb", buffering=0) as file:
-                return file.read()
+            fd = os.open(path, os.O_RDONLY)
+            try:
+                # Sized by fstat: shrinking a larger buffer raised peak RSS.
+                chunks = [os.read(fd, os.fstat(fd).st_size + 1)]
+                while chunk := os.read(fd, _READ_CHUNK):
+                    chunks.append(chunk)
+            finally:
+                os.close(fd)
         except FileNotFoundError:
             raise RecordNotFoundError(
                 f"no record {record_id!r} in {self.root}") from None
         except OSError as exc:
+            exc.filename = path  # os.read names no file, open() did
             raise StorageFailureError(f"cannot read {path}: {exc}") from exc
+        return b"".join(chunks)
 
     def _selection_texts(self) -> list[list[str]]:
         """Each record's selection codes as canonical texts, in record
@@ -134,7 +156,7 @@ class Corpus:
             key = hashlib.sha256(data).hexdigest()
             texts = summary.get(key)
             if type(texts) is not list or \
-                    any(type(text) is not str for text in texts):
+                    not all(map(str.__instancecheck__, texts)):
                 texts = _record_texts(_parse_file(Path(path), data))
                 missed = True
             fresh[key] = texts
@@ -265,6 +287,30 @@ def _cut(text: str, depth: int, merge_profiles: bool) -> str:
     return text
 
 
+_CUT_MEMO_SIZE = 2048  # distinct texts kept per memo; the catalog has 1,173
+
+
+class _CutMemo(dict):
+    """Canonical text -> its group code at one depth and merge flag.  A
+    miss empties a full memo, then keeps the cut text, interned so that
+    every memo shares one string per group code (less peak memory)."""
+
+    def __init__(self, depth: int, merge_profiles: bool):
+        super().__init__()
+        self.args = depth, merge_profiles
+
+    def __missing__(self, text: str) -> str:
+        if len(self) >= _CUT_MEMO_SIZE:
+            self.clear()
+        code = self[text] = sys.intern(_cut(text, *self.args))
+        return code
+
+
+_CUT_MEMOS = {(depth, merge): _CutMemo(depth, merge)  # see _group_depth
+              for depth in range(2, 2 + len(GROUPINGS))
+              for merge in (False, True)}
+
+
 def _group_depth(group_by: str) -> int:
     if group_by not in GROUPINGS:
         raise ValueError(
@@ -289,8 +335,9 @@ def _group_codes(records: Iterable[AttackRecord], depth: int,
         per_record = records._selection_texts()
     else:
         per_record = map(_record_texts, records)
+    cut = _CUT_MEMOS[depth, merge_profiles].__getitem__
     for texts in per_record:
-        yield [_cut(text, depth, merge_profiles) for text in texts]
+        yield list(map(cut, texts))
 
 
 def _full_name(catalog: Catalog, code_text: str, merge_profiles: bool) -> str:
@@ -337,11 +384,12 @@ def compute_stats(records: Iterable[AttackRecord], catalog: Catalog,
     # A total of 0 leaves no counts, so no share divides by it.
     shares = {count: fractions.Fraction(count, total)
               for count in set(counts.values())}
-    entries = tuple(sorted(
-        (StatsEntry(code, _full_name(catalog, code, merge_profiles), count,
-                    shares[count])
-         for code, count in counts.items()),
-        key=lambda entry: (-entry.count, entry.code)))
+    ordered = sorted(counts.items())
+    ordered.sort(key=itemgetter(1), reverse=True)  # stable: ties by code
+    entries = tuple(
+        StatsEntry(code, _full_name(catalog, code, merge_profiles), count,
+                   shares[count])
+        for code, count in ordered)
     return StatsReport(group_by=group_by, total=total, entries=entries)
 
 
@@ -394,11 +442,7 @@ def render_table(report: StatsReport) -> str:
     rows = [(entry.code, entry.name, str(entry.count),
              _share_text(entry.share)) for entry in report.entries]
     header = ("code", "name", "count", "share")
-    widths = [max(len(row[column]) for row in (header, *rows))
-              for column in range(4)]
-    lines = []
-    for row in (header, *rows):
-        lines.append("  ".join(
-            row[c].ljust(widths[c]) if c < 2 else row[c].rjust(widths[c])
-            for c in range(4)).rstrip())
-    return "\n".join(lines) + "\n"
+    line = "{:<%d}  {:<%d}  {:>%d}  {:>%d}" % tuple(
+        max(map(len, column)) for column in zip(header, *rows))
+    return "\n".join(line.format(*row).rstrip()
+                     for row in (header, *rows)) + "\n"

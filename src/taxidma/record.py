@@ -365,7 +365,7 @@ def record_to_dict(record: AttackRecord) -> dict:
         "description": record.description,
         "sources": list(record.sources),
         "created": record.created.astimezone(timezone.utc)
-                                 .strftime("%Y-%m-%dT%H:%M:%SZ"),
+                                 .isoformat(timespec="seconds")[:-6] + "Z",
         "background": _application_to_dict(record.background),
         "applications": [_application_to_dict(a)
                          for a in record.applications],
@@ -451,11 +451,11 @@ def _parse_created(value, where: str) -> datetime:
     text = value[:-1] + "+00:00" if value.endswith("Z") else value
     try:
         stamp = datetime.fromisoformat(text)
-    except ValueError as exc:
+        if stamp.tzinfo is not None:
+            return stamp.astimezone(timezone.utc)  # OverflowError too
+    except (ValueError, OverflowError) as exc:
         raise MalformedFileError(f"{where}: bad timestamp {value!r}") from exc
-    if stamp.tzinfo is None:
-        raise MalformedFileError(f"{where}: timestamp {value!r} lacks a zone")
-    return stamp.astimezone(timezone.utc)
+    raise MalformedFileError(f"{where}: timestamp {value!r} lacks a zone")
 
 
 def _code_location(where: str, index: int | None) -> str:

@@ -485,8 +485,8 @@ def mapped_selections(record: AttackRecord, catalog: Catalog
 
 
 def _stamp(created: datetime) -> str:
-    return created.astimezone(timezone.utc).strftime(
-        "%Y-%m-%dT%H:%M:%S.%f")[:-3] + "Z"
+    return created.astimezone(timezone.utc).isoformat(
+        timespec="milliseconds")[:-6] + "Z"
 
 
 _sha1 = None  # hashlib.sha1, imported by the first deterministic id

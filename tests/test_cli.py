@@ -421,6 +421,18 @@ def test_stats_undecodable_record_exits_three(corpus_dir, capsys):
         "rot.taxidma.json: not a JSON document: 'utf-8' codec")
 
 
+def test_stamp_outside_the_utc_range_exits_three(corpus_dir, capsys):
+    fixture = corpus_dir / f"{FIXTURE_IDS[0]}.taxidma.json"
+    doc = json.loads(fixture.read_text())
+    doc["created"] = "0001-01-01T00:00:00+05:00"
+    fixture.write_text(json.dumps(doc))
+    message = "record.created: bad timestamp '0001-01-01T00:00:00+05:00'\n"
+    assert run(["validate", str(fixture)]) == 3
+    assert _one_line(capsys.readouterr().err) == f"{fixture}: {message}"
+    assert run(["stats", str(corpus_dir)]) == 3
+    assert _one_line(capsys.readouterr().err) == f"{fixture.name}: {message}"
+
+
 # -- plumbing ----------------------------------------------------------------------
 
 

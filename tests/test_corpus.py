@@ -6,6 +6,7 @@ import io
 import json
 import random
 import shutil
+from datetime import datetime, timezone
 
 import pytest
 
@@ -124,6 +125,26 @@ def test_store_rejects_ids_that_escape_or_hide_in_the_root(tmp_path,
     with pytest.raises(InvalidIdentifierError):
         Corpus(tmp_path / "corpus").store(record)
     assert list(tmp_path.rglob("*")) == []
+
+
+@pytest.mark.parametrize("record_id", ["../outside", "a/b", "a\x00b"])
+def test_load_rejects_ids_that_leave_the_root(tmp_path, record_id):
+    Corpus(tmp_path).store(new_record("outside", "t", ""))
+    (tmp_path / "corpus" / "a").mkdir(parents=True)
+    Corpus(tmp_path / "corpus" / "a").store(new_record("b", "t", ""))
+    with pytest.raises(InvalidIdentifierError):
+        Corpus(tmp_path / "corpus").load(record_id)
+
+
+def test_stored_records_before_year_1000_load_and_count(tmp_path,
+                                                       bundled_catalog):
+    record = new_record("old", "t", "", created=datetime(
+        999, 3, 4, tzinfo=timezone.utc))
+    add_selection(record, BACKGROUND, "BG.K.R.4")
+    corpus = Corpus(tmp_path)
+    corpus.store(record)
+    assert corpus.load("old") == record
+    assert compute_stats(corpus, bundled_catalog).total == 1
 
 
 # -- statistics ---------------------------------------------------------------

@@ -546,6 +546,25 @@ def test_read_record_rejects_bad_timestamp(catalog):
         read_record(text)
 
 
+@pytest.mark.parametrize("stamp", ["0001-01-01T00:00:00+05:00",
+                                   "9999-12-31T23:59:59-05:00"])
+def test_read_record_rejects_stamps_outside_the_utc_range(catalog, stamp):
+    record = build_minimal(catalog)
+    text = write_record(record).replace("2024-06-01T00:00:00Z", stamp)
+    with pytest.raises(MalformedFileError) as excinfo:
+        read_record(text)
+    assert str(excinfo.value) == f"record.created: bad timestamp {stamp!r}"
+
+
+@pytest.mark.parametrize("year", [999, 1])
+def test_years_before_1000_round_trip(catalog, year):
+    record = build_minimal(catalog)
+    record.created = datetime(year, 3, 4, 5, 6, 7, tzinfo=timezone.utc)
+    text = write_record(record)
+    assert json.loads(text)["created"] == f"{year:04d}-03-04T05:06:07Z"
+    assert read_record(text) == record
+
+
 def test_read_record_requires_all_fields(catalog):
     record = build_minimal(catalog)
     doc = json.loads(write_record(record))

@@ -6,6 +6,7 @@ import hashlib
 import json
 import random
 import uuid
+from datetime import datetime, timezone
 from importlib import resources
 
 import pytest
@@ -515,6 +516,18 @@ def test_fixture_round_trips(bundled_catalog, record_id, campaign):
     assert rebuilt.created == record.created
     assert scope_groups(mapped_selections(rebuilt, bundled_catalog)) == \
         scope_groups(mapped_selections(record, bundled_catalog))
+
+
+def test_stamps_before_year_1000_validate_and_round_trip(bundled_catalog):
+    record = load_fixture_record(FIXTURE_IDS[0])
+    record.created = datetime(999, 3, 4, 5, 6, 7, tzinfo=timezone.utc)
+    bundle = to_stix(record, bundled_catalog, DETERMINISTIC)
+    assert validate_bundle(bundle) == []
+    assert {obj["created"] for obj in bundle["objects"]
+            if obj["type"] == "incident"} == {"0999-03-04T05:06:07.000Z"}
+    rebuilt, residue = from_stix(bundle, bundled_catalog)
+    assert residue == []
+    assert rebuilt.created == record.created
 
 
 def test_generated_records_round_trip(bundled_catalog):

@@ -45,6 +45,7 @@ from taxidma.record import (
     add_selection,
     new_record,
     read_record,
+    write_record,
 )
 
 FORMATS = {"table": render_table, "csv": render_csv, "json": render_json}
@@ -589,3 +590,80 @@ def test_warm_queries_build_no_path_per_record(tmp_path, records,
             co_occurrence(corpus, group_by)
         counts.append(sorted(calls))
     assert counts[0] == counts[1]
+
+
+def _reference_cut(text: str, depth: int, merge_profiles: bool) -> str:
+    if merge_profiles:
+        text = text[text.find(":") + 1:]
+    return ".".join(text.split(".", depth)[:depth])
+
+
+def test_cut_memo_agrees_with_a_split_and_join(bundled_catalog):
+    texts = list(bundled_catalog._index)
+    for (depth, merge_profiles), memo in corpus_module._CUT_MEMOS.items():
+        memo.clear()
+        for _ in range(2):  # a miss, then a hit
+            assert list(map(memo.__getitem__, texts)) == [
+                _reference_cut(text, depth, merge_profiles)
+                for text in texts]
+
+
+def test_cut_memo_is_bounded():
+    bound = corpus_module._CUT_MEMO_SIZE
+    memo = corpus_module._CutMemo(3, True)
+    texts = [f"IoT:BG.K.R.{n}" for n in range(bound + 1)]
+    for text in texts:
+        assert memo[text] == "BG.K.R"
+        assert len(memo) <= bound
+    assert len(memo) == 1  # the last text, after emptying the full memo
+    assert [memo[text] for text in texts[:3]] == ["BG.K.R"] * 3
+
+
+def test_warm_queries_cut_each_text_once_per_process(corpus, bundled_catalog,
+                                                     monkeypatch):
+    compute_stats(corpus, bundled_catalog)  # writes the summary
+    for memo in corpus_module._CUT_MEMOS.values():
+        memo.clear()
+    calls = []
+
+    def counting_cut(*args):
+        calls.append(args)
+        return cut(*args)
+
+    cut = corpus_module._cut
+    monkeypatch.setattr(corpus_module, "_cut", counting_cut)
+    per_round = []
+    for _ in range(3):
+        before = len(calls)
+        for group_by in GROUPINGS:
+            for merge_profiles in (False, True):
+                compute_stats(corpus, bundled_catalog, group_by,
+                              merge_profiles=merge_profiles)
+                co_occurrence(corpus, group_by,
+                              merge_profiles=merge_profiles)
+        per_round.append(len(calls) - before)
+    assert len(calls) == len(set(calls))
+    distinct = {text for texts in corpus_texts(corpus) for text in texts}
+    assert per_round == [6 * len(distinct), 0, 0]
+
+
+def test_files_larger_than_a_read_chunk(tmp_path, bundled_catalog):
+    record = new_record("big", "t", "d")
+    add_selection(record, BACKGROUND, "BG.K.R.4", note="n" * 100_000)
+    assert len(write_record(record)) > 2 * corpus_module._READ_CHUNK
+    corpus = Corpus(tmp_path)
+    corpus.store(record)
+    assert corpus.load("big") == read_record(write_record(record))
+    cold, warm = (outputs(corpus, bundled_catalog) for _ in range(2))
+    assert _summary(corpus).exists()
+    assert cold == warm == outputs([record], bundled_catalog)
+    # A FIFO reports no size, so every byte comes through the chunked reads.
+    fifo = tmp_path / "fifo" / "big.taxidma.json"
+    fifo.parent.mkdir()
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text,
+                              args=(write_record(record),), daemon=True)
+    writer.start()
+    assert Corpus(fifo.parent).load("big") == record
+    writer.join(10)
+    assert not writer.is_alive()
