@@ -164,16 +164,14 @@ class Catalog:
         self._build_index()
 
     def _build_effective(self) -> None:
-        for taxonomy in self.taxonomies:
-            for category in taxonomy.categories:
-                key = (None, taxonomy.code, category.code)
-                self._effective.setdefault(key, category.items)
-        for profile in self.profiles:
+        for profile in (None, *self.profiles):  # None: the base taxonomies
+            code, overrides = (None, ()) if profile is None else (
+                profile.code, profile.overrides)
             for taxonomy in self.taxonomies:
                 for category in taxonomy.categories:
                     items = list(category.items)
                     overridden: set[str] = set()  # the first override wins
-                    for ov in profile.overrides:
+                    for ov in overrides:
                         if (ov.taxonomy, ov.category) != (taxonomy.code,
                                                           category.code) \
                                 or ov.item in overridden:
@@ -186,8 +184,8 @@ class Catalog:
                         else:
                             items.append(ov.definition)
                     # Cache every combination so lookups never special-case.
-                    self._effective.setdefault((profile.code, taxonomy.code,
-                                                category.code), tuple(items))
+                    self._effective.setdefault(
+                        (code, taxonomy.code, category.code), tuple(items))
 
     @property
     def checksum(self) -> str:
@@ -354,6 +352,20 @@ class Catalog:
         if name is None:
             self.resolve(code)  # raises the error that explains the miss
         return name
+
+    @cached_property
+    def _merged_names(self) -> dict[str, str]:
+        """Profile-free code text -> :meth:`merged_name`, from the index."""
+        merged = {}
+        for text, name in self._full_names.items():  # base codes come first
+            merged.setdefault(text.rpartition(":")[2], name)
+        return merged
+
+    def merged_name(self, text: str) -> str:
+        """The full name of a profile-free code text with profiles merged
+        into their base taxonomies: the base code's own, else the one under
+        the first profile in catalog order that declares it, else ``""``."""
+        return self._merged_names.get(text, "")
 
     # -- subtrees and enumeration ----------------------------------------
 

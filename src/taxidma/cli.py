@@ -12,7 +12,8 @@ Subcommands::
     taxidma stats DIR               frequency statistics over a corpus
 
 Exit codes: 0 success, 1 validation findings (or an aborted wizard),
-2 usage errors, 3 unreadable or malformed input.
+2 usage errors, 3 unreadable or malformed input (or an output file that
+cannot be written).
 """
 from __future__ import annotations
 
@@ -59,7 +60,6 @@ from .stix import (
 if TYPE_CHECKING:  # imported by build_parser, its only user
     import argparse
 
-USAGE_ERROR = 2
 FORMAT_ERROR = 3
 
 
@@ -140,6 +140,19 @@ def _load_catalog(args) -> Catalog:
 
 def _error(text: str) -> None:
     print(text, file=sys.stderr)
+
+
+def _write_output(path: str | None, text: str) -> int:
+    """Write ``text`` to the file at ``path``, or to stdout without one."""
+    if not path:
+        sys.stdout.write(text)
+        return 0
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        _error(f"cannot write {path}: {exc}")
+        return FORMAT_ERROR
+    return 0
 
 
 def _cmd_name(args, catalog: Catalog) -> int:
@@ -298,12 +311,7 @@ def _cmd_to_stix(args, catalog: Catalog) -> int:
                 _error(f"  {violation.rule}: {violation.path}: "
                        f"{violation.message}")
         return 1
-    text = serialize_bundle(bundle)
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_output(args.output, serialize_bundle(bundle))
 
 
 def _cmd_from_stix(args, catalog: Catalog) -> int:
@@ -327,12 +335,7 @@ def _cmd_from_stix(args, catalog: Catalog) -> int:
     for entry in residue:
         _error(f"residue: {entry.object_type} {entry.object_id}: "
                f"{entry.reason}")
-    text = write_record(record)
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_output(args.output, write_record(record))
 
 
 def _cmd_stats(args, catalog: Catalog) -> int:

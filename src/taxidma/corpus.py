@@ -341,17 +341,12 @@ def _group_codes(records: Iterable[AttackRecord], depth: int,
 
 
 def _full_name(catalog: Catalog, code_text: str, merge_profiles: bool) -> str:
+    if merge_profiles:
+        return catalog.merged_name(code_text)
     try:
         return catalog.full_name(code_text)
     except (CodeSyntaxError, UnknownPathError):
-        if not merge_profiles:
-            return ""
-    for profile in catalog.profiles:
-        try:
-            return catalog.full_name(f"{profile.code}:{code_text}")
-        except (CodeSyntaxError, UnknownPathError):
-            pass
-    return ""
+        return ""
 
 
 def compute_stats(records: Iterable[AttackRecord], catalog: Catalog,

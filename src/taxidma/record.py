@@ -124,6 +124,19 @@ def _as_taxonomy_code(value: TaxonomyCode | str) -> TaxonomyCode:
     return code
 
 
+def _utc(created: datetime) -> datetime:
+    try:
+        return created.astimezone(timezone.utc)
+    except OverflowError:
+        raise InvalidRecordError(f"created {created.isoformat()} is outside "
+                                 f"the UTC range") from None
+
+
+def _utc_stamp(created: datetime, timespec: str) -> str:
+    """``created`` in UTC as ISO 8601 text ending in ``Z``."""
+    return _utc(created).isoformat(timespec=timespec)[:-6] + "Z"
+
+
 def new_record(record_id: str, title: str, description: str, *,
                background_taxonomy: TaxonomyCode | str = "BG",
                sources: list[str] | None = None,
@@ -133,7 +146,7 @@ def new_record(record_id: str, title: str, description: str, *,
     bg_code = _as_taxonomy_code(background_taxonomy)
     if created is None:
         created = datetime.now(timezone.utc)
-    created = created.astimezone(timezone.utc).replace(microsecond=0)
+    created = _utc(created).replace(microsecond=0)
     return AttackRecord(
         record_id=record_id,
         title=title,
@@ -364,8 +377,7 @@ def record_to_dict(record: AttackRecord) -> dict:
         "title": record.title,
         "description": record.description,
         "sources": list(record.sources),
-        "created": record.created.astimezone(timezone.utc)
-                                 .isoformat(timespec="seconds")[:-6] + "Z",
+        "created": _utc_stamp(record.created, "seconds"),
         "background": _application_to_dict(record.background),
         "applications": [_application_to_dict(a)
                          for a in record.applications],

@@ -42,6 +42,7 @@ from .record import (
     TaxonomyApplication,
     _as_taxonomy_code,
     _indented_json,
+    _utc_stamp,
     validate_record,
 )
 
@@ -484,11 +485,6 @@ def mapped_selections(record: AttackRecord, catalog: Catalog
 # -- emission -----------------------------------------------------------------
 
 
-def _stamp(created: datetime) -> str:
-    return created.astimezone(timezone.utc).isoformat(
-        timespec="milliseconds")[:-6] + "Z"
-
-
 _sha1 = None  # hashlib.sha1, imported by the first deterministic id
 
 
@@ -573,7 +569,7 @@ def to_stix(record: AttackRecord, catalog: Catalog,
                 f"{record.record_id}|{object_type}|{tag}|{ordinal}")
         return f"{object_type}--{uuid.uuid4()}"
 
-    stamp = _stamp(record.created)
+    stamp = _utc_stamp(record.created, "milliseconds")
     objects: list[dict] = [extension_definition()]
 
     incident = _base_object("incident", mint("incident", "record"), stamp,
@@ -762,6 +758,11 @@ class _Inverter:
         self.scopes: dict[int | None, list] = {}
         self.residue: list[ResidueEntry] = []
 
+    def reject(self, obj: dict, reason: str) -> None:
+        """Record ``obj`` (or one of its values) as residue."""
+        self.residue.append(ResidueEntry(
+            str(obj.get("id")), str(obj.get("type")), reason))
+
     def _target(self, obj: dict, payload: dict) -> tuple[str, list[Selection]]:
         taxonomy, index = _scope_markers(obj, payload)
         scope = self.scopes.setdefault(index, [None, None, []])
@@ -788,10 +789,8 @@ class _Inverter:
                         InvalidRecordError):
                     pass  # an unusable taxonomy marker: residue below
             if code_text is None:
-                self.residue.append(ResidueEntry(
-                    str(obj.get("id")), str(obj.get("type")),
-                    f"value {token!r} has no {tax_key}.{slot.category}."
-                    f"{slot.item} equivalent"))
+                self.reject(obj, f"value {token!r} has no {tax_key}."
+                                 f"{slot.category}.{slot.item} equivalent")
                 continue
             sink.append(Selection(parse_code(code_text)))
 
@@ -825,21 +824,15 @@ class _Inverter:
             code = parse_code(code_text)
             self.catalog.resolve(code)
         except (CodeSyntaxError, InvalidCodeError, UnknownPathError):
-            self.residue.append(ResidueEntry(
-                str(obj.get("id")), "vulnerability",
-                f"unusable code marker {code_text!r}"))
+            self.reject(obj, f"unusable code marker {code_text!r}")
             return
         name, note = obj.get("name"), obj.get("description")
         for field_name, value in (("name", name), ("description", note)):
             if value is not None and not isinstance(value, str):
-                self.residue.append(ResidueEntry(
-                    str(obj.get("id")), "vulnerability",
-                    f"{field_name} is not a string"))
+                self.reject(obj, f"{field_name} is not a string")
                 return
         if not name:  # the code's free-text item requires a name
-            self.residue.append(ResidueEntry(
-                str(obj.get("id")), "vulnerability",
-                "name is missing or empty"))
+            self.reject(obj, "name is missing or empty")
             return
         sink.append(Selection(code, free_text=name, note=note))
 
@@ -901,8 +894,7 @@ def from_stix(bundle: dict, catalog: Catalog
                         f"{EXTENSION_DEFINITION_ID}")
                 consumed_ids.add(obj["id"])
             else:
-                inverter.residue.append(ResidueEntry(
-                    obj["id"], obj_type, "foreign extension definition"))
+                inverter.reject(obj, "foreign extension definition")
             continue
         if obj_type == "relationship":
             relationships.append(obj)
@@ -914,17 +906,15 @@ def from_stix(bundle: dict, catalog: Catalog
         if inverter.consume(obj):
             consumed_ids.add(obj["id"])
         else:
-            inverter.residue.append(ResidueEntry(
-                obj["id"], obj_type, "no taxonomy content"))
+            inverter.reject(obj, "no taxonomy content")
 
     for rel in relationships:
         source, target = rel.get("source_ref"), rel.get("target_ref")
         if isinstance(source, str) and source in consumed_ids and \
                 isinstance(target, str) and target in consumed_ids:
             continue
-        inverter.residue.append(ResidueEntry(
-            rel["id"], "relationship",
-            "references an object that is not part of the record"))
+        inverter.reject(
+            rel, "references an object that is not part of the record")
 
     record_id = f"stix-{bundle_id.split('--', 1)[1]}"
     created = None
@@ -945,8 +935,7 @@ def from_stix(bundle: dict, catalog: Catalog
                            ("description", "")):
         value = (incident or {}).get(prop)
         if value is not None and not isinstance(value, str):
-            inverter.residue.append(ResidueEntry(
-                incident["id"], "incident", f"{prop} is not a string"))
+            inverter.reject(incident, f"{prop} is not a string")
             value = None
         texts[prop] = value or fallback
 

@@ -305,6 +305,19 @@ def test_to_stix_missing_file_exits_three(tmp_path):
     assert run(["to-stix", str(tmp_path / "none.taxidma.json")]) == 3
 
 
+def test_unwritable_output_exits_three(tmp_path, capsys):
+    bundle_file = tmp_path / "bundle.json"
+    assert run(["to-stix", CANVA, "-o", str(bundle_file)]) == 0
+    capsys.readouterr()
+    target = tmp_path / "missing" / "dir" / "x.json"
+    for argv in (["to-stix", CANVA], ["from-stix", str(bundle_file)]):
+        assert run([*argv, "-o", str(target)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert _one_line(captured.err).startswith(f"cannot write {target}: ")
+        assert not target.parent.exists()
+
+
 def test_from_stix_reads_stdin(monkeypatch, capsys, tmp_path,
                                bundled_catalog):
     out_file = tmp_path / "bundle.json"

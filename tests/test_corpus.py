@@ -13,11 +13,21 @@ import pytest
 import counting_oracle as oracle
 from conftest import FIXTURES, FIXTURE_IDS
 from record_gen import record_batch
+from taxidma.catalog import (
+    Catalog,
+    Category,
+    Item,
+    Leaf,
+    Override,
+    Profile,
+    Taxonomy,
+)
 from taxidma.codes import TaxonomyCode
 from taxidma.corpus import (
     Corpus,
     GROUPINGS,
     LOCK_NAME,
+    _full_name,
     co_occurrence,
     compute_stats,
     render_csv,
@@ -25,16 +35,19 @@ from taxidma.corpus import (
     render_table,
 )
 from taxidma.errors import (
+    CodeSyntaxError,
     InvalidCodeError,
     InvalidIdentifierError,
     MalformedFileError,
     RecordNotFoundError,
     StorageFailureError,
+    UnknownPathError,
 )
 from taxidma.record import (
     BACKGROUND,
     Selection,
     add_selection,
+    apply_taxonomy,
     new_record,
     read_record,
     write_record,
@@ -337,6 +350,102 @@ def test_programming_errors_in_naming_propagate():
     add_selection(record, BACKGROUND, "BG.I.A.1")
     with pytest.raises(TypeError):
         compute_stats([record], BrokenCatalog())
+
+
+def _profile_loop_name(catalog, code_text: str, merge_profiles: bool) -> str:
+    """A group code's name as a loop over the catalog's profiles finds it:
+    the base code's full name, else (when merging) the full name under the
+    first profile in catalog order whose qualified code resolves."""
+    try:
+        return catalog.full_name(code_text)
+    except (CodeSyntaxError, UnknownPathError):
+        if not merge_profiles:
+            return ""
+    for profile in catalog.profiles:
+        try:
+            return catalog.full_name(f"{profile.code}:{code_text}")
+        except (CodeSyntaxError, UnknownPathError):
+            pass
+    return ""
+
+
+def _naming_texts(catalog) -> list[str]:
+    """Every prefix of every indexed text without its profile, plus codes
+    that nothing declares."""
+    texts = {"BG.Z.Q.1", "XX", "SI.T.H.99", "WA.K"}
+    for text in catalog._index:
+        parts = text.rpartition(":")[2].split(".")
+        texts.update(".".join(parts[:n]) for n in range(1, len(parts) + 1))
+    return sorted(texts)
+
+
+def _two_profile_catalog() -> Catalog:
+    # T is a base item that SSI also overrides; R is declared by both
+    # profiles, S only by the second, and P only by a repeated IoT profile,
+    # which the first IoT profile shadows.
+    def overrides(prefix, *codes):
+        return tuple(Override("BG", "A", code, Item(code, f"{prefix} {code}",
+                                                    leaves=(Leaf(1, "One"),)))
+                     for code in codes)
+    tree = Taxonomy("BG", "Background", (Category("A", "Attacker", (
+        Item("T", "Type", leaves=(Leaf(1, "One"),)),)),))
+    profiles = (Profile("IoT", "Things", overrides("Things", "Q", "R")),
+                Profile("SSI", "Self", overrides("Self", "T", "R", "S")),
+                Profile("IoT", "Again", overrides("Again", "P", "S")))
+    return Catalog("x", (tree,), profiles, "0")
+
+
+def test_merged_names_follow_catalog_order():
+    catalog = _two_profile_catalog()
+    assert {text: catalog.merged_name(text) for text in (
+        "BG.A.T", "BG.A.Q.1", "BG.A.R", "BG.A.S.1", "BG.A.P", "BG.Z")} == {
+        "BG.A.T": "Background Attacker Type",
+        "BG.A.Q.1": "Things Background Attacker Things Q One",
+        "BG.A.R": "Things Background Attacker Things R",
+        "BG.A.S.1": "Self Background Attacker Self S One",
+        "BG.A.P": "",
+        "BG.Z": "",
+    }
+
+
+@pytest.mark.parametrize("merge_profiles", [False, True])
+def test_naming_matches_a_loop_over_profiles(bundled_catalog, merge_profiles):
+    texts = _naming_texts(bundled_catalog)
+    assert len(texts) == 436
+    assert sum(1 for text in texts if bundled_catalog.merged_name(text)
+               and not _profile_loop_name(bundled_catalog, text, False)) == 35
+    for catalog in (bundled_catalog, _two_profile_catalog()):
+        mismatches = [
+            text for text in _naming_texts(catalog)
+            if _full_name(catalog, text, merge_profiles)
+            != _profile_loop_name(catalog, text, merge_profiles)
+            or (merge_profiles and catalog.merged_name(text)
+                != _profile_loop_name(catalog, text, True))]
+        assert mismatches == []
+
+
+def test_merged_names_never_explain_a_miss(fixture_corpus, bundled_catalog,
+                                           monkeypatch):
+    record = new_record("profile-only", "t", "d")
+    add_selection(record, BACKGROUND, "IoT:BG.I.O.2")
+    things = apply_taxonomy(record, bundled_catalog, "IoT:SI")
+    add_selection(record, things, "IoT:SI.T.H.2")
+    fixture_corpus.store(record)
+    misses = []
+    explain = Catalog._miss
+
+    def counted(self, *args):
+        misses.append(args)
+        return explain(self, *args)
+    monkeypatch.setattr(Catalog, "_miss", counted)
+    for group_by, codes in (("item", ("BG.I.O", "SI.T.H")),
+                            ("leaf", ("BG.I.O.2", "SI.T.H.2"))):
+        names = {entry.code: entry.name for entry in compute_stats(
+            fixture_corpus, bundled_catalog, group_by,
+            merge_profiles=True).entries}
+        assert [names[code] for code in codes] == \
+            [bundled_catalog.full_name(f"IoT:{code}") for code in codes]
+    assert misses == []
 
 
 _DEPTH_MIX = ("BG.K", "BG.K.R", "BG.K.R.4", "UE.K.T.1.4.4", "IoT:SI.K",

@@ -7,7 +7,7 @@ import json
 import random
 import re
 from collections import Counter
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -563,6 +563,31 @@ def test_years_before_1000_round_trip(catalog, year):
     text = write_record(record)
     assert json.loads(text)["created"] == f"{year:04d}-03-04T05:06:07Z"
     assert read_record(text) == record
+
+
+# Aware stamps whose UTC value is outside datetime's range.
+OUT_OF_UTC_RANGE = [
+    datetime(1, 1, 1, tzinfo=timezone(timedelta(hours=5))),
+    datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone(timedelta(hours=-5))),
+]
+
+
+@pytest.mark.parametrize("created", OUT_OF_UTC_RANGE, ids=str)
+def test_new_record_rejects_stamps_outside_the_utc_range(created):
+    with pytest.raises(InvalidRecordError) as excinfo:
+        new_record("r1", "t", "d", created=created)
+    assert str(excinfo.value) == \
+        f"created {created.isoformat()} is outside the UTC range"
+
+
+@pytest.mark.parametrize("created", OUT_OF_UTC_RANGE, ids=str)
+def test_write_record_rejects_stamps_outside_the_utc_range(catalog, created):
+    record = build_minimal(catalog)
+    record.created = created
+    with pytest.raises(InvalidRecordError) as excinfo:
+        write_record(record)
+    assert str(excinfo.value) == \
+        f"created {created.isoformat()} is outside the UTC range"
 
 
 def test_read_record_requires_all_fields(catalog):

@@ -6,7 +6,7 @@ import hashlib
 import json
 import random
 import uuid
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from importlib import resources
 
 import pytest
@@ -528,6 +528,15 @@ def test_stamps_before_year_1000_validate_and_round_trip(bundled_catalog):
     rebuilt, residue = from_stix(bundle, bundled_catalog)
     assert residue == []
     assert rebuilt.created == record.created
+
+
+def test_stamps_outside_the_utc_range_are_invalid(bundled_catalog):
+    record = load_fixture_record(FIXTURE_IDS[0])
+    record.created = datetime(1, 1, 1, tzinfo=timezone(timedelta(hours=5)))
+    with pytest.raises(InvalidRecordError) as excinfo:
+        to_stix(record, bundled_catalog, DETERMINISTIC)
+    assert str(excinfo.value) == \
+        "created 0001-01-01T00:00:00+05:00 is outside the UTC range"
 
 
 def test_generated_records_round_trip(bundled_catalog):
