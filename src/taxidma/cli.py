@@ -12,8 +12,8 @@ Subcommands::
     taxidma stats DIR               frequency statistics over a corpus
 
 Exit codes: 0 success, 1 validation findings (or an aborted wizard),
-2 usage errors, 3 unreadable or malformed input (or an output file that
-cannot be written).
+2 usage errors, 3 unreadable or malformed input (or output that cannot be
+encoded or written).
 """
 from __future__ import annotations
 
@@ -143,12 +143,18 @@ def _error(text: str) -> None:
 
 
 def _write_output(path: str | None, text: str) -> int:
-    """Write ``text`` to the file at ``path``, or to stdout without one."""
+    """Write ``text`` to the file at ``path``, or to stdout without one.
+    Text that UTF-8 cannot encode is written nowhere."""
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        _error(f"cannot encode output: {exc}")
+        return FORMAT_ERROR
     if not path:
         sys.stdout.write(text)
         return 0
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        Path(path).write_bytes(data)
     except OSError as exc:
         _error(f"cannot write {path}: {exc}")
         return FORMAT_ERROR
@@ -288,7 +294,7 @@ def _cmd_encode(args, catalog: Catalog) -> int:
     corpus = Corpus(args.output_dir)
     try:
         path = corpus.store(record)
-    except StorageFailureError as exc:
+    except (InvalidRecordError, StorageFailureError) as exc:
         _error(str(exc))
         return FORMAT_ERROR
     print(f"wrote {path}")

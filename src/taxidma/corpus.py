@@ -1,9 +1,9 @@
 """Record storage and corpus-level statistics.
 
-A corpus is a flat directory of ``<record_id>.taxidma.json`` files.  Writes
-go through a temp file plus atomic rename and are serialized by a
-``.taxidma-lock`` file, so concurrent writers fail loudly instead of
-corrupting each other.
+A corpus is a flat directory of ``<record_id>.taxidma.json`` files.  Records
+and the summary are written to a temp file with a random name, created
+exclusively, then renamed into place (``_replace``).  No lock is taken: a
+dead writer blocks nothing, and of overlapping stores of one id the last wins.
 
 Statistics over a corpus read a summary file, ``.taxidma-summary``, beside
 the records.  It maps the sha256 of each record file's bytes to that
@@ -18,9 +18,7 @@ only a cache: a missing, unreadable or malformed one, one that is not a
 regular file, or a malformed entry is ignored and the files are parsed, and
 deleting it changes no output.  Readers keep it up to date, not writers: a
 query that parsed any file, or found entries for files that are gone,
-rewrites the whole summary through an exclusively created temp file and an
-atomic rename, without taking the lock, and ignores any failure to write
-it.
+rewrites the whole summary and ignores any failure to write it.
 
 Statistics count *records* by default: a code (pruned to the requested
 grouping depth) scores one per record that selects it anywhere, which keeps
@@ -54,6 +52,7 @@ from .codes import format_code
 from .errors import (
     CodeSyntaxError,
     InvalidIdentifierError,
+    InvalidRecordError,
     MalformedFileError,
     RecordNotFoundError,
     StorageFailureError,
@@ -71,7 +70,6 @@ from .record import (
 if TYPE_CHECKING:  # imported by compute_stats, its only user
     from fractions import Fraction
 
-LOCK_NAME = ".taxidma-lock"
 SUMMARY_NAME = ".taxidma-summary"
 # Bump when parsing or canonical texts change, so old summaries are ignored;
 # tests/test_summary.py pins the summary each format writes.
@@ -126,10 +124,7 @@ class Corpus:
         try:
             fd = os.open(path, os.O_RDONLY)
             try:
-                # Sized by fstat: shrinking a larger buffer raised peak RSS.
-                chunks = [os.read(fd, os.fstat(fd).st_size + 1)]
-                while chunk := os.read(fd, _READ_CHUNK):
-                    chunks.append(chunk)
+                return _read_all(fd)
             finally:
                 os.close(fd)
         except FileNotFoundError:
@@ -138,7 +133,6 @@ class Corpus:
         except OSError as exc:
             exc.filename = path  # os.read names no file, open() did
             raise StorageFailureError(f"cannot read {path}: {exc}") from exc
-        return b"".join(chunks)
 
     def _selection_texts(self) -> list[list[str]]:
         """Each record's selection codes as canonical texts, in record
@@ -176,8 +170,7 @@ class Corpus:
         try:
             if not stat.S_ISREG(os.fstat(fd).st_mode):
                 return {}
-            with open(fd, "rb", closefd=False) as file:
-                payload = json.loads(file.read())
+            payload = json.loads(_read_all(fd))
         except (OSError, ValueError, RecursionError):
             return {}
         finally:
@@ -189,59 +182,57 @@ class Corpus:
         return {}
 
     def _write_summary(self, entries: dict[str, list[str]]) -> None:
-        """Replace the summary, or leave it be on any failure.  The temp
-        file has a random name and is created exclusively, so neither a
-        planted file or symlink nor another writer's temp file is ever
-        written through."""
-        scratch = self.root / f"{SUMMARY_NAME}.{os.urandom(8).hex()}.tmp"
-        try:
-            fd = os.open(scratch, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
-        except OSError:
-            return
-        try:
-            with open(fd, "w", encoding="utf-8") as file:
-                file.write(json.dumps(
-                    {"format": _SUMMARY_FORMAT, "records": entries}))
-            os.replace(scratch, self.root / SUMMARY_NAME)
-        except OSError:
-            with contextlib.suppress(OSError):
-                scratch.unlink()
+        """Replace the summary, or leave it be on any failure."""
+        with contextlib.suppress(OSError):
+            _replace(self.root / SUMMARY_NAME, json.dumps(
+                {"format": _SUMMARY_FORMAT, "records": entries}).encode())
 
     def store(self, record: AttackRecord) -> Path:
-        """Write (or replace) one record, atomically and under the corpus
-        lock.  An id that ``new_record`` would refuse raises
-        :class:`InvalidIdentifierError` before anything is written."""
+        """Write (or replace) one record atomically.  An id ``new_record``
+        would refuse (:class:`InvalidIdentifierError`) or text UTF-8 cannot
+        encode (:class:`InvalidRecordError`) raises before any write."""
         _check_record_id(record.record_id)
         path = self.path_for(record.record_id)
-        text = write_record(record)
+        try:
+            data = write_record(record).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise InvalidRecordError(
+                f"record {record.record_id!r} holds text that UTF-8 cannot "
+                "encode") from exc
         try:
             self.root.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise StorageFailureError(
                 f"cannot create corpus root {self.root}: {exc}") from exc
-        lock = self.root / LOCK_NAME
         try:
-            lock_fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise StorageFailureError(
-                f"corpus {self.root} is locked by another writer "
-                f"(stale {LOCK_NAME}?)") from None
+            _replace(path, data)
         except OSError as exc:
-            raise StorageFailureError(
-                f"cannot lock corpus {self.root}: {exc}") from exc
-        try:
-            scratch = path.with_name(f".{path.name}.tmp")
-            try:
-                scratch.write_text(text, encoding="utf-8")
-                os.replace(scratch, path)
-            except OSError as exc:
-                scratch.unlink(missing_ok=True)
-                raise StorageFailureError(
-                    f"cannot write {path}: {exc}") from exc
-        finally:
-            os.close(lock_fd)
-            lock.unlink(missing_ok=True)
+            raise StorageFailureError(f"cannot write {path}: {exc}") from exc
         return path
+
+
+def _read_all(fd: int) -> bytes:
+    """``fd``'s bytes to its end, so a FIFO or a growing file reads whole."""
+    # Sized by fstat: shrinking a larger buffer raised peak RSS.
+    chunks = [os.read(fd, os.fstat(fd).st_size + 1)]
+    while chunk := os.read(fd, _READ_CHUNK):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _replace(path: Path, data: bytes) -> None:
+    """Replace ``path`` with ``data`` via a temp file beside it, created
+    exclusively under a random name, so nothing planted is written through."""
+    scratch = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(scratch, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+    try:
+        with open(fd, "wb") as file:
+            file.write(data)
+        os.replace(scratch, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            scratch.unlink()
+        raise
 
 
 def _parse_file(path: Path, data: bytes) -> AttackRecord:

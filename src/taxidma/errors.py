@@ -109,7 +109,7 @@ class MalformedFileError(TaxidmaError):
 
 
 class StorageFailureError(TaxidmaError):
-    """The corpus directory cannot be read, locked, or written."""
+    """The corpus directory cannot be read or written."""
 
 
 class AbortedError(TaxidmaError):

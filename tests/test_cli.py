@@ -5,6 +5,7 @@ import io
 import json
 import re
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -255,6 +256,14 @@ def test_encode_eof_counts_as_abort(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_encode_text_utf8_cannot_encode_exits_three(tmp_path, capsys):
+    feed = scripted("lone", "x\ud800y", "", "", "", "")
+    assert run(["encode", "-o", str(tmp_path)], input_fn=feed) == 3
+    err = _one_line(capsys.readouterr().err)
+    assert "'lone' holds text that UTF-8 cannot encode" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_encode_validation_errors_block_the_write(tmp_path, capsys):
     feed = scripted(
         "mixed-up", "title", "", "",
@@ -316,6 +325,29 @@ def test_unwritable_output_exits_three(tmp_path, capsys):
         assert captured.out == ""
         assert _one_line(captured.err).startswith(f"cannot write {target}: ")
         assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("command", ["to-stix", "from-stix"])
+def test_output_utf8_cannot_encode_exits_three(tmp_path, capsys, command):
+    # JSON escapes a lone surrogate as \ud800; nothing can encode it back.
+    if command == "to-stix":
+        document = json.loads(Path(CANVA).read_text())
+        document["title"] = "x\ud800y"
+    else:
+        assert run(["to-stix", CANVA, "--deterministic"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        for obj in document["objects"]:
+            if obj["type"] == "incident":
+                obj["name"] = "x\ud800y"
+    source = tmp_path / "input.json"
+    source.write_text(json.dumps(document))
+    target = tmp_path / "out.json"
+    for output in ([], ["-o", str(target)]):
+        assert run([command, str(source), *output]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert _one_line(captured.err).startswith("cannot encode output: ")
+        assert not target.exists()
 
 
 def test_from_stix_reads_stdin(monkeypatch, capsys, tmp_path,

@@ -6,13 +6,15 @@ import io
 import json
 import random
 import shutil
+import threading
 from datetime import datetime, timezone
 
 import pytest
 
 import counting_oracle as oracle
-from conftest import FIXTURES, FIXTURE_IDS
+from conftest import FIXTURES, FIXTURE_IDS, load_fixture_record
 from record_gen import record_batch
+from taxidma import corpus as corpus_module
 from taxidma.catalog import (
     Catalog,
     Category,
@@ -26,7 +28,6 @@ from taxidma.codes import TaxonomyCode
 from taxidma.corpus import (
     Corpus,
     GROUPINGS,
-    LOCK_NAME,
     _full_name,
     co_occurrence,
     compute_stats,
@@ -38,6 +39,7 @@ from taxidma.errors import (
     CodeSyntaxError,
     InvalidCodeError,
     InvalidIdentifierError,
+    InvalidRecordError,
     MalformedFileError,
     RecordNotFoundError,
     StorageFailureError,
@@ -52,6 +54,7 @@ from taxidma.record import (
     read_record,
     write_record,
 )
+from taxidma.stix import EmissionOptions, from_stix, to_stix
 
 
 @pytest.fixture
@@ -77,7 +80,7 @@ def test_store_and_load_round_trip(tmp_path, bundled_catalog):
     assert loaded == record
     assert corpus.record_ids() == ["first-record"]
     assert len(corpus) == 1
-    assert not (corpus.root / LOCK_NAME).exists()
+    assert [p.name for p in corpus.root.iterdir()] == [path.name]
 
 
 def test_store_replaces_existing_file(tmp_path):
@@ -118,16 +121,112 @@ def test_unrelated_files_are_ignored(tmp_path):
     assert corpus.record_ids() == ["real"]
 
 
-def test_held_lock_blocks_writes_then_clears(tmp_path):
+def test_leftover_lock_file_blocks_nothing(tmp_path):
+    # Earlier versions took this lock file around each store; a writer that
+    # died while holding it blocked every later store.
     corpus = Corpus(tmp_path)
-    (tmp_path / LOCK_NAME).write_text("")
-    with pytest.raises(StorageFailureError) as excinfo:
-        corpus.store(new_record("blocked", "blocked", ""))
-    assert "locked" in str(excinfo.value)
-    assert corpus.record_ids() == []
-    (tmp_path / LOCK_NAME).unlink()
+    (tmp_path / ".taxidma-lock").write_text("")
     corpus.store(new_record("unblocked", "ok", ""))
     assert corpus.record_ids() == ["unblocked"]
+
+
+def test_failed_store_leaves_no_temp_file_and_the_old_record(tmp_path,
+                                                             monkeypatch):
+    corpus = Corpus(tmp_path)
+    old = new_record("kept", "old", "")
+    corpus.store(old)
+
+    def interrupt(src, dst):
+        raise RuntimeError("interrupted")
+
+    monkeypatch.setattr(corpus_module.os, "replace", interrupt)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        corpus.store(new_record("kept", "new", ""))
+    monkeypatch.undo()
+    assert [p.name for p in tmp_path.iterdir()] == ["kept.taxidma.json"]
+    assert corpus.load("kept") == old
+
+
+def _plant(tmp_path, name: str, target_exists: bool):
+    """A corpus root holding a symlink called ``name`` to a path outside
+    it, which holds ``keep`` if ``target_exists``."""
+    root = tmp_path / "corpus"
+    root.mkdir()
+    victim = tmp_path / "victim"
+    if target_exists:
+        victim.write_text("keep")
+    (root / name).symlink_to(victim)
+    return Corpus(root), victim
+
+
+def _assert_untouched(victim, target_exists: bool):
+    if target_exists:
+        assert victim.read_text() == "keep"
+    else:
+        assert not victim.exists()
+
+
+@pytest.mark.parametrize("target_exists", [True, False])
+def test_store_never_writes_through_a_fixed_temp_name(tmp_path,
+                                                      target_exists):
+    corpus, victim = _plant(tmp_path, ".x.taxidma.json.tmp", target_exists)
+    record = new_record("x", "t", "")
+    path = corpus.store(record)
+    _assert_untouched(victim, target_exists)
+    assert path.is_file() and not path.is_symlink()
+    assert path.read_text() == write_record(record)
+
+
+@pytest.mark.parametrize("target_exists", [True, False])
+def test_store_refuses_a_symlink_at_its_temp_name(tmp_path, monkeypatch,
+                                                  target_exists):
+    # Pin the temp name that random bytes would give.
+    monkeypatch.setattr(corpus_module.os, "urandom", lambda n: bytes(n))
+    planted = f"x.taxidma.json.{bytes(8).hex()}.tmp"
+    corpus, victim = _plant(tmp_path, planted, target_exists)
+    with pytest.raises(StorageFailureError, match="cannot write"):
+        corpus.store(new_record("x", "t", ""))
+    _assert_untouched(victim, target_exists)
+    assert [p.name for p in corpus.root.iterdir()] == [planted]
+
+
+def test_overlapping_stores_of_one_id_leave_one_whole_record(tmp_path):
+    corpus = Corpus(tmp_path)
+    records = [new_record("shared", f"writer {n}", "") for n in range(4)]
+    failures = []
+
+    def store_repeatedly(record):
+        try:
+            for _ in range(50):
+                corpus.store(record)
+        except Exception as exc:
+            failures.append(exc)
+
+    threads = [threading.Thread(target=store_repeatedly, args=(record,))
+               for record in records]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert failures == []
+    assert [p.name for p in tmp_path.iterdir()] == ["shared.taxidma.json"]
+    assert corpus.load("shared") in records
+
+
+def test_text_utf8_cannot_encode_is_refused_before_any_write(tmp_path,
+                                                             bundled_catalog):
+    # A lone surrogate escape is valid JSON, so from_stix takes it in.
+    bundle = to_stix(load_fixture_record("canva-2019"), bundled_catalog,
+                     EmissionOptions(deterministic_ids=True))
+    for obj in bundle["objects"]:
+        if obj["type"] == "incident":
+            obj["name"] = "x\ud800y"
+    record, _ = from_stix(bundle, bundled_catalog)
+    with pytest.raises(InvalidRecordError) as excinfo:
+        Corpus(tmp_path / "corpus").store(record)
+    assert str(excinfo.value) == \
+        f"record {record.record_id!r} holds text that UTF-8 cannot encode"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("record_id", ["../escaped", ""])
