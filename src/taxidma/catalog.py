@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from importlib import resources
 from typing import Callable, Iterator, NamedTuple
 
@@ -553,17 +553,11 @@ def load_catalog(source: bytes | str) -> Catalog:
     return catalog
 
 
-_BUNDLED: Catalog | None = None
-
-
+@cache
 def load_bundled_catalog() -> Catalog:
     """The catalog shipped inside the package (cached)."""
-    global _BUNDLED
-    if _BUNDLED is None:
-        data = (resources.files("taxidma") / "data" /
-                BUNDLED_CATALOG_RESOURCE).read_bytes()
-        _BUNDLED = load_catalog(data)
-    return _BUNDLED
+    return load_catalog((resources.files("taxidma") / "data" /
+                         BUNDLED_CATALOG_RESOURCE).read_bytes())
 
 
 # -- verification ------------------------------------------------------------

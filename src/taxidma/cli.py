@@ -35,6 +35,7 @@ from .errors import (
     InvalidRecordError,
     MalformedBundleError,
     MalformedFileError,
+    RecordNotFoundError,
     StorageFailureError,
     TaxidmaError,
     UnknownExtensionVersionError,
@@ -61,6 +62,11 @@ if TYPE_CHECKING:  # imported by build_parser, its only user
     import argparse
 
 FORMAT_ERROR = 3
+
+
+class _Unusable(Exception):
+    """Input or output a command cannot use: :func:`run` prints the
+    message as one line and returns :data:`FORMAT_ERROR`."""
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -133,13 +139,25 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 
 def _load_catalog(args) -> Catalog:
-    if not args.catalog:
-        return load_bundled_catalog()
-    return load_catalog(Path(args.catalog).read_text(encoding="utf-8"))
+    try:
+        if not args.catalog:
+            return load_bundled_catalog()
+        return load_catalog(Path(args.catalog).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _Unusable(f"cannot read catalog: {exc}") from exc
+    except TaxidmaError as exc:
+        raise _Unusable(f"bad catalog: {exc}") from exc
 
 
 def _error(text: str) -> None:
     print(text, file=sys.stderr)
+
+
+def _read_record_file(name: str):
+    try:
+        return read_record(Path(name).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, MalformedFileError) as exc:
+        raise _Unusable(f"{name}: {exc}") from exc
 
 
 def _write_output(path: str | None, text: str) -> int:
@@ -148,16 +166,14 @@ def _write_output(path: str | None, text: str) -> int:
     try:
         data = text.encode("utf-8")
     except UnicodeEncodeError as exc:
-        _error(f"cannot encode output: {exc}")
-        return FORMAT_ERROR
+        raise _Unusable(f"cannot encode output: {exc}") from exc
     if not path:
         sys.stdout.write(text)
         return 0
     try:
         Path(path).write_bytes(data)
     except OSError as exc:
-        _error(f"cannot write {path}: {exc}")
-        return FORMAT_ERROR
+        raise _Unusable(f"cannot write {path}: {exc}") from exc
     return 0
 
 
@@ -203,12 +219,7 @@ def _cmd_check_catalog(args, catalog: Catalog) -> int:
 def _cmd_validate(args, catalog: Catalog) -> int:
     status = 0
     for name in args.files:
-        try:
-            record = read_record(Path(name).read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, MalformedFileError) as exc:
-            _error(f"{name}: {exc}")
-            return FORMAT_ERROR
-        report = validate_record(record, catalog)
+        report = validate_record(_read_record_file(name), catalog)
         for violation in report.violations:
             print(f"{name}: {violation}")
         if report.ok:
@@ -295,18 +306,13 @@ def _cmd_encode(args, catalog: Catalog) -> int:
     try:
         path = corpus.store(record)
     except (InvalidRecordError, StorageFailureError) as exc:
-        _error(str(exc))
-        return FORMAT_ERROR
+        raise _Unusable(str(exc)) from exc
     print(f"wrote {path}")
     return 0
 
 
 def _cmd_to_stix(args, catalog: Catalog) -> int:
-    try:
-        record = read_record(Path(args.file).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, MalformedFileError) as exc:
-        _error(f"{args.file}: {exc}")
-        return FORMAT_ERROR
+    record = _read_record_file(args.file)
     try:
         bundle = to_stix(record, catalog, EmissionOptions(
             deterministic_ids=args.deterministic, campaign=args.campaign))
@@ -328,16 +334,13 @@ def _cmd_from_stix(args, catalog: Catalog) -> int:
             raw = Path(args.file).read_text(encoding="utf-8")
         bundle = json.loads(raw)
     except OSError as exc:
-        _error(f"{args.file}: {exc}")
-        return FORMAT_ERROR
+        raise _Unusable(f"{args.file}: {exc}") from exc
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        _error(f"{args.file}: not JSON: {exc}")
-        return FORMAT_ERROR
+        raise _Unusable(f"{args.file}: not JSON: {exc}") from exc
     try:
         record, residue = from_stix(bundle, catalog)
     except (MalformedBundleError, UnknownExtensionVersionError) as exc:
-        _error(f"{args.file}: {exc}")
-        return FORMAT_ERROR
+        raise _Unusable(f"{args.file}: {exc}") from exc
     for entry in residue:
         _error(f"residue: {entry.object_type} {entry.object_id}: "
                f"{entry.reason}")
@@ -347,13 +350,12 @@ def _cmd_from_stix(args, catalog: Catalog) -> int:
 def _cmd_stats(args, catalog: Catalog) -> int:
     root = Path(args.corpus)
     if not root.is_dir():
-        _error(f"{args.corpus}: not a directory")
-        return FORMAT_ERROR
+        raise _Unusable(f"{args.corpus}: not a directory")
     try:
         report = compute_stats(Corpus(root), catalog, args.group_by)
-    except (MalformedFileError, StorageFailureError) as exc:
-        _error(str(exc))
-        return FORMAT_ERROR
+    except (MalformedFileError, RecordNotFoundError,
+            StorageFailureError) as exc:
+        raise _Unusable(str(exc)) from exc
     renderer = {"table": render_table, "csv": render_csv,
                 "json": render_json}[args.format]
     sys.stdout.write(renderer(report))
@@ -371,17 +373,12 @@ def run(argv: list[str] | None = None, input_fn=input) -> int:
         args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        catalog = _load_catalog(args)
-    except (OSError, UnicodeDecodeError) as exc:
-        _error(f"cannot read catalog: {exc}")
-        return FORMAT_ERROR
-    except TaxidmaError as exc:
-        _error(f"bad catalog: {exc}")
-        return FORMAT_ERROR
-
     args.input_fn = input_fn
-    return _COMMANDS[args.command](args, catalog)
+    try:
+        return _COMMANDS[args.command](args, _load_catalog(args))
+    except _Unusable as exc:
+        _error(str(exc))
+        return FORMAT_ERROR
 
 
 def main() -> None:

@@ -1,6 +1,8 @@
 """Record storage and corpus-level statistics.
 
-A corpus is a flat directory of ``<record_id>.taxidma.json`` files.  Records
+A corpus is a flat directory of ``<record_id>.taxidma.json`` files, one
+record per file name.  A name whose id ``new_record`` would refuse is not
+listed, and ``Corpus.load`` refuses that id before reading.  Records
 and the summary are written to a temp file with a random name, created
 exclusively, then renamed into place (``_replace``).  No lock is taken: a
 dead writer blocks nothing, and of overlapping stores of one id the last wins.
@@ -51,7 +53,6 @@ from .catalog import Catalog
 from .codes import format_code
 from .errors import (
     CodeSyntaxError,
-    InvalidIdentifierError,
     InvalidRecordError,
     MalformedFileError,
     RecordNotFoundError,
@@ -60,6 +61,7 @@ from .errors import (
 )
 from .record import (
     RECORD_FILE_SUFFIX,
+    _RECORD_ID_RE,
     AttackRecord,
     _check_record_id,
     _indented_json,
@@ -77,8 +79,6 @@ _SUMMARY_FORMAT = "taxidma-summary 1"
 _SUMMARY_READ_FLAGS = (os.O_RDONLY | getattr(os, "O_NOFOLLOW", 0)
                        | getattr(os, "O_NONBLOCK", 0))
 _READ_CHUNK = 16 * 1024  # reads after the first, which fstat sizes
-# Characters no file name holds, so Corpus.load never reads outside the root.
-_UNSAFE_ID_CHARS = frozenset(("/", "\x00", os.altsep or "/"))
 GROUPINGS = ("category", "item", "leaf")
 
 
@@ -94,12 +94,15 @@ class Corpus:
     def record_ids(self) -> list[str]:
         if not self.root.is_dir():
             return []
-        with os.scandir(self.root) as entries:
-            return sorted(
-                entry.name[: -len(RECORD_FILE_SUFFIX)]
-                for entry in entries
-                if entry.name.endswith(RECORD_FILE_SUFFIX)
-                and entry.is_file())
+        try:
+            with os.scandir(self.root) as entries:
+                return sorted(filter(_RECORD_ID_RE.match, (
+                    entry.name[: -len(RECORD_FILE_SUFFIX)] for entry in entries
+                    if entry.name.endswith(RECORD_FILE_SUFFIX)
+                    and entry.is_file())))
+        except OSError as exc:
+            raise StorageFailureError(
+                f"cannot list {self.root}: {exc}") from exc
 
     def __len__(self) -> int:
         return len(self.record_ids())
@@ -109,12 +112,10 @@ class Corpus:
             yield self.load(record_id)
 
     def load(self, record_id: str) -> AttackRecord:
-        """The record stored as ``record_id``.  An id holding a path
-        separator or NUL raises :class:`InvalidIdentifierError` before
-        anything is read."""
-        if not _UNSAFE_ID_CHARS.isdisjoint(str(record_id)):
-            raise InvalidIdentifierError(
-                f"record id {record_id!r} holds a path separator or NUL")
+        """The record stored as ``record_id``.  An id ``new_record`` would
+        refuse raises :class:`InvalidIdentifierError` before anything is
+        read."""
+        _check_record_id(record_id)
         path = self.path_for(record_id)
         return _parse_file(path, self._read_bytes(record_id, str(path)))
 

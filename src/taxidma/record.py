@@ -388,20 +388,18 @@ class _NotPlainJSON(Exception):
     """A value :func:`_indented_json` leaves to ``json.dumps``."""
 
 
-_INFINITIES = (float("inf"), float("-inf"))
-
-
 def _indented_json(value) -> str:
     """Exactly ``json.dumps(value, indent=2, ensure_ascii=False)``.
 
     With ``indent`` set, CPython's ``json`` falls back to its pure-Python
     encoder; this walker builds the same text with less work per value.
-    It handles values of type ``dict``, ``list``, ``str``, ``int``, finite
-    ``float``, ``True``, ``False`` and ``None``, checked by exact type.
-    Anything else (a subclass, a tuple, NaN or an infinity, an
-    unserialisable object, a non-string key, a cycle) is handed to
-    ``json.dumps`` itself, so such input gets the same text or the same
-    exception.
+    It handles what the package writes (records, bundles and stats
+    payloads): a ``dict`` or ``list`` holding only values of type
+    ``dict``, ``list``, ``str`` and ``int``, checked by exact type.
+    Anything else (a top-level string, a float, a bool, ``None``, a
+    subclass, a tuple, an unserialisable object, a non-string key, a
+    cycle) is handed to ``json.dumps`` itself, so such input gets the same
+    text or the same exception.
     """
     try:
         return _json_text(value, "\n")
@@ -434,20 +432,10 @@ def _json_text(value, newline: str) -> str:
             parts.append(_quote(item) if type(item) is str
                          else _json_text(item, inner))
         return f"[{inner}{(',' + inner).join(parts)}{newline}]"
-    if kind is str:
-        return _quote(value)
     if kind is int:
         # json's own call: past the digit limit it raises the same
         # ValueError json.dumps would.
         return int.__repr__(value)
-    if kind is float and value == value and value not in _INFINITIES:
-        return float.__repr__(value)
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if value is None:
-        return "null"
     raise _NotPlainJSON
 
 

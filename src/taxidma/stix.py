@@ -358,10 +358,6 @@ class VocabularyTables:
             tables = self._cache[key] = self._build(*key)
         return tables
 
-    def token_for(self, tax_key: str, category: str, item_code: str,
-                  prefix: tuple[int, ...], code: str) -> str:
-        return self._tables(tax_key, category, item_code, prefix)[0][code]
-
     def code_for(self, tax_key: str, category: str, item_code: str,
                  prefix: tuple[int, ...], token: str) -> str | None:
         return self._tables(tax_key, category, item_code, prefix)[1].get(token)
@@ -388,10 +384,6 @@ class _Scope:
     # The first mapped attack-category (K.G) code: the indicator's pattern.
     indicator_code: str | None = None
 
-    def tokens(self, prop: str) -> list[str]:
-        return next((tokens for slot, tokens in self.values.items()
-                     if slot.prop == prop), [])
-
 
 # What a selection becomes in STIX: one of these two, or (slot, token).
 _UNMAPPED, _VULNERABILITY = "unmapped", "vulnerability"
@@ -415,8 +407,8 @@ def _plan(catalog: Catalog, where: str, tax_key: str, code: TaxonomyCode,
             (where, code.category, code.item), ())
             if code.leaf_path[:len(slot.prefix)] == slot.prefix), None)
         plan = _UNMAPPED if slot is None else (
-            slot, vocabulary.token_for(tax_key, code.category, code.item,
-                                       slot.prefix, text))
+            slot, vocabulary._tables(tax_key, code.category, code.item,
+                                     slot.prefix)[0][text])
     vocabulary._plans[where, text] = plan
     return plan
 
@@ -673,7 +665,8 @@ def to_stix(record: AttackRecord, catalog: Catalog,
                             scope.tag, scope.label)
             relate(pattern_id, "targets", category["id"])
 
-        attack_tokens = scope.tokens("attack_type")
+        attack_tokens = next((tokens for slot, tokens in scope.values.items()
+                              if slot.prop == "attack_type"), [])
         for sco_type, value in (("social-engineering", "social-engineering"),
                                 ("osint", "osint-based")):
             if value in attack_tokens:

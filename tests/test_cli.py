@@ -1,8 +1,10 @@
 """Command-line behaviour: output, exit codes, wizard scripting, piping."""
 from __future__ import annotations
 
+import errno
 import io
 import json
+import os
 import re
 import shutil
 from pathlib import Path
@@ -12,6 +14,7 @@ import pytest
 from conftest import FIXTURES, FIXTURE_IDS, load_fixture_record, scope_groups
 from taxidma import cli
 from taxidma.cli import run
+from taxidma.corpus import Corpus
 from taxidma.record import (
     BACKGROUND,
     add_selection,
@@ -476,6 +479,36 @@ def test_stamp_outside_the_utc_range_exits_three(corpus_dir, capsys):
     assert _one_line(capsys.readouterr().err) == f"{fixture}: {message}"
     assert run(["stats", str(corpus_dir)]) == 3
     assert _one_line(capsys.readouterr().err) == f"{fixture.name}: {message}"
+
+
+def test_stats_record_gone_before_it_is_read_exits_three(tmp_path, capsys,
+                                                        monkeypatch):
+    Corpus(tmp_path).store(new_record("x", "t", "d"))
+    list_ids = Corpus.record_ids
+
+    def listed_then_gone(corpus):
+        ids = list_ids(corpus)
+        (corpus.root / "x.taxidma.json").unlink()
+        return ids
+
+    monkeypatch.setattr(Corpus, "record_ids", listed_then_gone)
+    assert run(["stats", str(tmp_path)]) == 3
+    assert _one_line(capsys.readouterr().err) == \
+        f"no record 'x' in {tmp_path}\n"
+
+
+def _refuse_listing(path):
+    raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+
+
+def test_stats_unlistable_corpus_exits_three(tmp_path, capsys, monkeypatch):
+    # Patched, since no directory mode refuses a listing to root.
+    Corpus(tmp_path).store(new_record("x", "t", "d"))
+    monkeypatch.setattr(os, "scandir", _refuse_listing)
+    assert run(["stats", str(tmp_path)]) == 3
+    assert _one_line(capsys.readouterr().err) == \
+        f"cannot list {tmp_path}: [Errno {errno.EACCES}] " \
+        f"{os.strerror(errno.EACCES)}: '{tmp_path}'\n"
 
 
 # -- plumbing ----------------------------------------------------------------------

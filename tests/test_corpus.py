@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import json
+import os
 import random
 import shutil
 import threading
@@ -119,6 +121,35 @@ def test_unrelated_files_are_ignored(tmp_path):
     (tmp_path / "README.txt").write_text("not a record")
     (tmp_path / ".hidden.taxidma.json.tmp").write_text("{}")
     assert corpus.record_ids() == ["real"]
+
+
+@pytest.mark.parametrize("name", ["a b", ".ab", "ab\u00e9"])
+def test_files_named_by_no_valid_id_are_not_records(tmp_path,
+                                                    bundled_catalog, name):
+    # One record per file name: before, "a b.taxidma.json" holding record
+    # "ab" was listed as "a b", and a store of "ab" made it count twice.
+    record = new_record("ab", "t", "")
+    add_selection(record, BACKGROUND, "BG.K.R.4")
+    corpus = Corpus(tmp_path)
+    (tmp_path / f"{name}.taxidma.json").write_text(write_record(record))
+    corpus.store(record)
+    assert corpus.record_ids() == ["ab"]
+    assert [loaded.record_id for loaded in corpus] == ["ab"]
+    assert compute_stats(corpus, bundled_catalog).total == 1
+
+
+def test_unlistable_root_raises_storage_failure(tmp_path, monkeypatch):
+    def refuse(path):
+        raise PermissionError(errno.EACCES, "Permission denied", str(path))
+
+    corpus = Corpus(tmp_path)
+    corpus.store(new_record("x", "t", ""))
+    monkeypatch.setattr(os, "scandir", refuse)
+    with pytest.raises(StorageFailureError) as excinfo:
+        corpus.record_ids()
+    assert str(excinfo.value) == \
+        f"cannot list {tmp_path}: [Errno {errno.EACCES}] Permission " \
+        f"denied: '{tmp_path}'"
 
 
 def test_leftover_lock_file_blocks_nothing(tmp_path):

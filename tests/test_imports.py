@@ -4,16 +4,19 @@ STIX ids and catalog checksums, ``fractions`` and ``csv`` for stats, and
 ``argparse`` for the CLI parser."""
 from __future__ import annotations
 
+import __future__
 import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 from conftest import FIXTURE_IDS, FIXTURES
 
+import taxidma
 from taxidma import cli
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -76,3 +79,14 @@ def test_ingest_and_export_paths_load_no_deferred_module(tmp_path):
         code = cli.run(["stats", str(root), "--format", "csv"])
     assert (result["code"], result["stdout"]) == (code, out.getvalue())
     assert code == 0 and len(out.getvalue().splitlines()) > 1
+
+
+def test_all_names_exactly_the_public_names_the_package_binds():
+    """``__init__`` lists each public name in its imports and again in
+    ``__all__``; the two lists must agree."""
+    public = {name for name, value in vars(taxidma).items()
+              if not name.startswith("_")
+              and not isinstance(value, types.ModuleType)
+              and value is not __future__.annotations}
+    assert len(set(taxidma.__all__)) == len(taxidma.__all__)
+    assert set(taxidma.__all__) == public | {"__version__"}

@@ -9,6 +9,7 @@ import re
 from collections import Counter
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from taxidma import record as record_module
 from taxidma.catalog import Catalog
 from taxidma.codes import TaxonomyCode, format_code, parse_code
+from taxidma.corpus import GROUPINGS, compute_stats, render_json
 from taxidma.errors import (
     BackgroundNotApplicableError,
     CodeSyntaxError,
@@ -39,9 +41,10 @@ from taxidma.record import (
     validate_record,
     write_record,
 )
+from taxidma.stix import EmissionOptions, serialize_bundle, to_stix
 
 import record_gen
-from conftest import FIXTURE_IDS
+from conftest import FIXTURE_IDS, load_fixture_record
 
 
 @pytest.fixture
@@ -697,6 +700,35 @@ def test_indented_json_on_nesting_beyond_the_recursion_limit():
         _reference(value)
     with pytest.raises(RecursionError):
         _indented_json(value)
+
+
+def test_the_package_values_never_reach_the_fallback(bundled_catalog,
+                                                     monkeypatch):
+    """Records, deterministic bundles and stats payloads hold only dicts,
+    lists, strings and ints, so the walker writes them all itself."""
+    record_sets = [[load_fixture_record(rid) for rid in FIXTURE_IDS],
+                   record_gen.record_batch(bundled_catalog, seed=3,
+                                           count=200)]
+    bundles = [to_stix(record, bundled_catalog, EmissionOptions(
+        deterministic_ids=True, campaign=campaign))
+        for records in record_sets for record in records
+        for campaign in (False, True)]
+    reports = [compute_stats(records, bundled_catalog, group_by)
+               for records in record_sets for group_by in GROUPINGS]
+
+    def fallback(*args, **kwargs):
+        raise AssertionError("json.dumps fallback taken")
+
+    monkeypatch.setattr(record_module, "json", SimpleNamespace(dumps=fallback))
+    for records in record_sets:
+        for record in records:
+            assert write_record(record) == \
+                _reference(record_module.record_to_dict(record)) + "\n"
+    for bundle in bundles:
+        assert serialize_bundle(bundle) == _reference(bundle) + "\n"
+    for report in reports:
+        text = render_json(report)
+        assert text == _reference(json.loads(text)) + "\n"
 
 
 def test_only_the_writer_calls_the_indenting_encoder():
