@@ -8,19 +8,35 @@ exclusively, then renamed into place (``_replace``).  No lock is taken: a
 dead writer blocks nothing, and of overlapping stores of one id the last wins.
 
 Statistics over a corpus read a summary file, ``.taxidma-summary``, beside
-the records.  It maps the sha256 of each record file's bytes to that
-record's selection codes as canonical texts, so a query hashes each file
-and parses only the files whose hash it does not find.  Because an entry is
-keyed on content it never goes stale; a rewritten record simply misses.  A
-warm query, one that finds every file's hash, reads each file with bare
-``os.open``/``os.read`` calls and hashes it once, parses nothing and writes
-nothing, and cuts each distinct code text to its group code once per
-process (``_CUT_MEMOS``).  The summary is
-only a cache: a missing, unreadable or malformed one, one that is not a
-regular file, or a malformed entry is ignored and the files are parsed, and
-deleting it changes no output.  Readers keep it up to date, not writers: a
-query that parsed any file, or found entries for files that are gone,
-rewrites the whole summary and ignores any failure to write it.
+the records.  Its ``records`` member maps the sha256 of each record file's
+bytes to that record's selection codes as canonical texts.  Its ``stat``
+member, the stat index, maps each record id to that key and the file's
+``st_ino``, ``st_size``, ``st_mtime_ns`` and ``st_ctime_ns``.  A query
+stats each file and takes the key from the index without opening the file
+only when the signature matches and the file's ctime is strictly older than
+the summary's own mtime: git's racy-clean rule, applied to ctime because
+``os.utime`` can restore an mtime but not a ctime.  Any other file is read
+and hashed, and parsed only if its hash is not in the summary.  A writer
+sets the summary's mtime to the file system's time from before its first
+read (the mtime of a scratch file created and removed beside the summary),
+so a change that lands after reading began leaves a ctime no older than
+the summary and is read again: an entry never goes stale.  Off POSIX,
+where ``st_ctime`` is not the inode change time, every file is read.  Like
+git, this trusts the file system's stat data; on NFS a client's attribute
+cache can lag behind another client's writes, and until it catches up a
+query there can miss such a write.
+
+A warm query, one that trusts every file, makes one ``os.stat`` per file,
+parses nothing and writes nothing.  The last summary decoded is kept per
+process, keyed on its file's device, inode, size, mtime and ctime, so an
+unchanged summary is decoded once.  Each distinct code text is cut to its
+group code once per process (``_CUT_MEMOS``), and one ``Counter`` counts
+all records.  The summary is only a cache: a missing, unreadable or
+malformed one, one that is not a regular file, or a malformed entry is
+ignored and the files are read, and deleting it changes no output.
+Readers keep it up to date, not writers: a query that parsed any file,
+read a file while trusting the index, or found entries for files that are
+gone rewrites the whole summary and ignores any failure to write it.
 
 Statistics count *records* by default: a code (pruned to the requested
 grouping depth) scores one per record that selects it anywhere, which keeps
@@ -30,7 +46,8 @@ decimal places).
 
 Storing and loading records import none of ``hashlib``, ``fractions`` and
 ``csv``.  Each is imported on first use: ``hashlib`` (and with it OpenSSL)
-by a query over a :class:`Corpus`, for the summary keys, ``fractions`` by
+by a query over a :class:`Corpus` that reads a record file, for the
+summary keys, ``fractions`` by
 :func:`compute_stats` and ``csv`` by :func:`render_csv`.
 """
 from __future__ import annotations
@@ -44,7 +61,7 @@ import sys
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -79,6 +96,8 @@ _SUMMARY_FORMAT = "taxidma-summary 1"
 _SUMMARY_READ_FLAGS = (os.O_RDONLY | getattr(os, "O_NOFOLLOW", 0)
                        | getattr(os, "O_NONBLOCK", 0))
 _READ_CHUNK = 16 * 1024  # reads after the first, which fstat sizes
+# Whether st_ctime is the inode change time, which the stat index needs.
+_TRUST_STAT = os.name == "posix"
 GROUPINGS = ("category", "item", "leaf")
 
 
@@ -117,15 +136,18 @@ class Corpus:
         read."""
         _check_record_id(record_id)
         path = self.path_for(record_id)
-        return _parse_file(path, self._read_bytes(record_id, str(path)))
+        return _parse_file(path, self._read_bytes(record_id, str(path))[0])
 
-    def _read_bytes(self, record_id: str, path: str) -> bytes:
+    def _read_bytes(self, record_id: str, path: str
+                    ) -> tuple[bytes, os.stat_result]:
         """The bytes of the file at ``path``, which is ``path_for``'s text
-        for ``record_id``, read to its end with bare syscalls."""
+        for ``record_id``, read to its end with bare syscalls, and the
+        file's ``fstat`` from before the read."""
         try:
             fd = os.open(path, os.O_RDONLY)
             try:
-                return _read_all(fd)
+                status = os.fstat(fd)
+                return _read_all(fd, status), status
             finally:
                 os.close(fd)
         except FileNotFoundError:
@@ -137,56 +159,58 @@ class Corpus:
 
     def _selection_texts(self) -> list[list[str]]:
         """Each record's selection codes as canonical texts, in record
-        order, served from the summary where a file's hash is in it."""
-        import hashlib
-        summary = self._read_summary()
+        order, served from the summary: by stat signature where the rule in
+        the module docstring trusts it, else by the hash of the file."""
         # The text path_for would give for any name: "x" is cut off again.
         prefix = str(self.root / "x")[:-1]
+        summary_path = prefix + SUMMARY_NAME
+        # A summary with malformed entries is rewritten whatever happens.
+        records, index, stamp, rewrite = _read_summary(summary_path)
+        trusted = index if _TRUST_STAT else {}
         fresh: dict[str, list[str]] = {}
+        signed: dict[str, tuple[tuple[int, ...], str]] = {}
         out = []
-        missed = False
+        # The new summary's mtime: the old one's, or once a file is read the
+        # file system's time from before that read (None if unknown).
+        began = stamp
+        reading = False
         for record_id in self.record_ids():
             path = f"{prefix}{record_id}{RECORD_FILE_SUFFIX}"
-            data = self._read_bytes(record_id, path)
-            key = hashlib.sha256(data).hexdigest()
-            texts = summary.get(key)
-            if type(texts) is not list or \
-                    not all(map(str.__instancecheck__, texts)):
-                texts = _record_texts(_parse_file(Path(path), data))
-                missed = True
-            fresh[key] = texts
+            entry = trusted.get(record_id)
+            if entry is not None:
+                try:
+                    status = os.stat(path)
+                except OSError:
+                    entry = None
+                else:
+                    if status.st_ctime_ns >= stamp or \
+                            entry[0] != _signature(status):
+                        entry = None
+            if entry is None:
+                if not reading:
+                    import hashlib
+                    reading = True
+                    began = _fs_clock(summary_path)
+                data, status = self._read_bytes(record_id, path)
+                entry = _signature(status), \
+                    hashlib.sha256(data).hexdigest()
+                texts = records.get(entry[1])
+                if texts is None:
+                    texts = _record_texts(_parse_file(Path(path), data))
+                    rewrite = True
+                # Under the trust rule a read means a changed, new or racy
+                # file; a rewrite records it.
+                rewrite = rewrite or _TRUST_STAT or \
+                    index.get(record_id) != entry
+            else:
+                texts = records[entry[1]]
+            fresh[entry[1]] = texts
+            signed[record_id] = entry
             out.append(texts)
-        if missed or len(fresh) != len(summary):
-            self._write_summary(fresh)
+        if began is not None and (rewrite or len(fresh) != len(records)
+                                  or len(signed) != len(index)):
+            _write_summary(summary_path, fresh, signed, began)
         return out
-
-    def _read_summary(self) -> dict:
-        """The summary's entries, or none unless it is a regular file in
-        the current format.  Opening follows no symlink and does not wait
-        on a FIFO."""
-        try:
-            fd = os.open(self.root / SUMMARY_NAME, _SUMMARY_READ_FLAGS)
-        except OSError:
-            return {}
-        try:
-            if not stat.S_ISREG(os.fstat(fd).st_mode):
-                return {}
-            payload = json.loads(_read_all(fd))
-        except (OSError, ValueError, RecursionError):
-            return {}
-        finally:
-            os.close(fd)
-        if type(payload) is dict and \
-                payload.get("format") == _SUMMARY_FORMAT and \
-                type(payload.get("records")) is dict:
-            return payload["records"]
-        return {}
-
-    def _write_summary(self, entries: dict[str, list[str]]) -> None:
-        """Replace the summary, or leave it be on any failure."""
-        with contextlib.suppress(OSError):
-            _replace(self.root / SUMMARY_NAME, json.dumps(
-                {"format": _SUMMARY_FORMAT, "records": entries}).encode())
 
     def store(self, record: AttackRecord) -> Path:
         """Write (or replace) one record atomically.  An id ``new_record``
@@ -212,27 +236,133 @@ class Corpus:
         return path
 
 
-def _read_all(fd: int) -> bytes:
-    """``fd``'s bytes to its end, so a FIFO or a growing file reads whole."""
+def _signature(status: os.stat_result) -> tuple[int, int, int, int]:
+    return (status.st_ino, status.st_size, status.st_mtime_ns,
+            status.st_ctime_ns)
+
+
+# What _read_summary gives for a missing or unusable summary.  Like every
+# decoded summary it is shared, so nothing may change it.
+_NO_SUMMARY: tuple = ({}, {}, None, False)
+# The last summary decoded in this process: its file's identity and what
+# _read_summary gave for it.
+_last_summary: tuple = ((), _NO_SUMMARY)
+
+
+def _read_summary(path: str) -> tuple:
+    """``(records, index, stamp, malformed)`` from the summary at ``path``:
+    its content-keyed entries, its stat index as ``{record_id: (signature,
+    key)}``, its mtime in ns and whether any entry was dropped as
+    malformed.  An unchanged file is decoded once per process; a file that
+    is not a regular one in the current format gives no entries.  Opening
+    follows no symlink and does not wait on a FIFO."""
+    global _last_summary
+    try:
+        fd = os.open(path, _SUMMARY_READ_FLAGS)
+    except OSError:
+        return _NO_SUMMARY
+    try:
+        status = os.fstat(fd)
+        if not stat.S_ISREG(status.st_mode):
+            return _NO_SUMMARY
+        identity = (status.st_dev, *_signature(status))
+        last = _last_summary  # one read: another thread may replace it
+        if last[0] == identity:
+            return last[1]
+        payload = json.loads(_read_all(fd, status))
+    except (OSError, ValueError, RecursionError):
+        return _NO_SUMMARY
+    finally:
+        os.close(fd)
+    summary = _decode_summary(payload, status.st_mtime_ns)
+    _last_summary = identity, summary
+    return summary
+
+
+def _decode_summary(payload, stamp: int) -> tuple:
+    """``_read_summary``'s tuple for a decoded summary file, keeping only
+    well-formed entries."""
+    if type(payload) is not dict or \
+            payload.get("format") != _SUMMARY_FORMAT or \
+            type(payload.get("records")) is not dict:
+        return _NO_SUMMARY
+    records = {key: texts for key, texts in payload["records"].items()
+               if type(texts) is list
+               and all(map(str.__instancecheck__, texts))}
+    stats = payload.get("stat")
+    if type(stats) is not dict:
+        stats = {}
+    index = {record_id: (tuple(entry[1:]), entry[0])
+             for record_id, entry in stats.items()
+             if type(entry) is list and len(entry) == 5
+             and type(entry[0]) is str and entry[0] in records
+             and all(type(field) is int for field in entry[1:])}
+    malformed = len(records) < len(payload["records"]) or \
+        len(index) < len(stats)
+    return records, index, stamp, malformed
+
+
+def _write_summary(path: str, entries: dict[str, list[str]],
+                   signed: dict[str, tuple[tuple[int, ...], str]],
+                   mtime_ns: int) -> None:
+    """Replace the summary, with its mtime set to ``mtime_ns``, or leave it
+    be on any failure."""
+    with contextlib.suppress(OSError):
+        _replace(path, json.dumps({
+            "format": _SUMMARY_FORMAT, "records": entries,
+            "stat": {record_id: [key, *signature]
+                     for record_id, (signature, key) in signed.items()},
+        }).encode(), mtime_ns)
+
+
+def _fs_clock(summary_path: str) -> int | None:
+    """The file system's time now: the mtime of a scratch file created
+    beside the summary and removed at once, or None if that fails."""
+    scratch = _scratch_name(summary_path)
+    try:
+        fd = os.open(scratch, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+        try:
+            return os.fstat(fd).st_mtime_ns
+        finally:
+            os.close(fd)
+            os.unlink(scratch)
+    except OSError:
+        return None
+
+
+def _read_all(fd: int, status: os.stat_result) -> bytes:
+    """``fd``'s bytes to its end, so a FIFO or a growing file reads whole;
+    ``status`` is its ``fstat``."""
     # Sized by fstat: shrinking a larger buffer raised peak RSS.
-    chunks = [os.read(fd, os.fstat(fd).st_size + 1)]
+    chunks = [os.read(fd, status.st_size + 1)]
     while chunk := os.read(fd, _READ_CHUNK):
         chunks.append(chunk)
     return b"".join(chunks)
 
 
-def _replace(path: Path, data: bytes) -> None:
+def _scratch_name(path: str | Path) -> str:
+    """A random name beside ``path`` for a temp file."""
+    return f"{path}.{os.urandom(8).hex()}.tmp"
+
+
+def _replace(path: str | Path, data: bytes, mtime_ns: int | None = None
+             ) -> None:
     """Replace ``path`` with ``data`` via a temp file beside it, created
-    exclusively under a random name, so nothing planted is written through."""
-    scratch = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    exclusively under a random name, so nothing planted is written through.
+    A given ``mtime_ns`` becomes the new file's atime and mtime."""
+    scratch = _scratch_name(path)
     fd = os.open(scratch, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with open(fd, "wb") as file:
             file.write(data)
+            if mtime_ns is not None:
+                file.flush()
+                os.utime(fd if os.utime in os.supports_fd else scratch,
+                         ns=(mtime_ns, mtime_ns))
         os.replace(scratch, path)
     except BaseException:
         with contextlib.suppress(OSError):
-            scratch.unlink()
+            os.unlink(scratch)
         raise
 
 
@@ -320,16 +450,17 @@ def _record_texts(record: AttackRecord) -> list[str]:
 
 
 def _group_codes(records: Iterable[AttackRecord], depth: int,
-                 merge_profiles: bool) -> Iterator[list[str]]:
-    """Each record's group codes, one per selection.  A :class:`Corpus`
-    answers from its summary; other records render their codes."""
+                 merge_profiles: bool, kind: type) -> Iterator:
+    """Each record's group codes, made into a ``kind``: a list holds one
+    per selection, a set each distinct one.  A :class:`Corpus` answers from
+    its summary; other records render their codes."""
     if isinstance(records, Corpus):
         per_record = records._selection_texts()
     else:
         per_record = map(_record_texts, records)
     cut = _CUT_MEMOS[depth, merge_profiles].__getitem__
     for texts in per_record:
-        yield list(map(cut, texts))
+        yield kind(map(cut, texts))
 
 
 def _full_name(catalog: Catalog, code_text: str, merge_profiles: bool) -> str:
@@ -359,15 +490,11 @@ def compute_stats(records: Iterable[AttackRecord], catalog: Catalog,
     ``-1``, say) raises :class:`InvalidCodeError` at any grouping depth.
     """
     import fractions
-    depth = _group_depth(group_by)
-    counts: Counter[str] = Counter()
-    record_total = 0
-    selection_total = 0
-    for codes in _group_codes(records, depth, merge_profiles):
-        record_total += 1
-        selection_total += len(codes)
-        counts.update(codes if count_selections else set(codes))
-    total = selection_total if count_selections else record_total
+    groups = list(_group_codes(records, _group_depth(group_by),
+                               merge_profiles,
+                               list if count_selections else set))
+    counts = Counter(chain.from_iterable(groups))
+    total = counts.total() if count_selections else len(groups)
     # A total of 0 leaves no counts, so no share divides by it.
     shares = {count: fractions.Fraction(count, total)
               for count in set(counts.values())}
@@ -388,11 +515,10 @@ def co_occurrence(records: Iterable[AttackRecord],
     Key ``(a, b)`` with ``a <= b`` counts records selecting both codes; the
     diagonal ``(a, a)`` equals the plain frequency.
     """
-    depth = _group_depth(group_by)
-    pairs: Counter[tuple[str, str]] = Counter()
-    for codes in _group_codes(records, depth, merge_profiles):
-        pairs.update(combinations_with_replacement(sorted(set(codes)), 2))
-    return dict(pairs)
+    groups = _group_codes(records, _group_depth(group_by), merge_profiles,
+                          set)
+    return dict(Counter(chain.from_iterable(map(
+        combinations_with_replacement, map(sorted, groups), repeat(2)))))
 
 
 # -- renderers ----------------------------------------------------------------

@@ -423,8 +423,16 @@ def test_summary_format_pins_parsing_and_texts(tmp_path, bundled_catalog):
         (tmp_path / name).write_bytes((FIXTURES / name).read_bytes())
     (tmp_path / "edge.taxidma.json").write_bytes(EDGE_RECORD)
     compute_stats(corpus, bundled_catalog)
-    digest = hashlib.sha256(_summary(corpus).read_bytes()).hexdigest()
+    # The stat index holds inode numbers and times, which differ from run
+    # to run, so the pin covers the summary as dumped without it.
+    payload = json.loads(_summary(corpus).read_bytes())
+    index = payload.pop("stat")
+    digest = hashlib.sha256(json.dumps(payload).encode()).hexdigest()
     assert PINNED_SUMMARIES.get(corpus_module._SUMMARY_FORMAT) == digest
+    assert sorted(index) == sorted([*FIXTURE_IDS, "edge"])
+    for entry in index.values():
+        assert len(entry) == 5
+        assert entry[0] in payload["records"]
 
 
 def test_warm_summary_queries_parse_no_code(corpus, bundled_catalog,
