@@ -27,16 +27,15 @@ cache can lag behind another client's writes, and until it catches up a
 query there can miss such a write.
 
 A warm query, one that trusts every file, makes one ``os.stat`` per file,
-parses nothing and writes nothing.  The last summary decoded is kept per
-process, keyed on its file's device, inode, size, mtime and ctime, so an
-unchanged summary is decoded once.  Each distinct code text is cut to its
+parses nothing and writes nothing.  Each distinct code text is cut to its
 group code once per process (``_CUT_MEMOS``), and one ``Counter`` counts
 all records.  The summary is only a cache: a missing, unreadable or
 malformed one, one that is not a regular file, or a malformed entry is
 ignored and the files are read, and deleting it changes no output.
 Readers keep it up to date, not writers: a query that parsed any file,
-read a file while trusting the index, or found entries for files that are
-gone rewrites the whole summary and ignores any failure to write it.
+found a file whose stat entry changed, read a racy file that its new
+summary would settle, or found entries for files that are gone rewrites
+the whole summary and ignores any failure to write it.
 
 Statistics count *records* by default: a code (pruned to the requested
 grouping depth) scores one per record that selects it anywhere, which keeps
@@ -61,7 +60,7 @@ import sys
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import chain, combinations_with_replacement, repeat
+from itertools import chain, combinations_with_replacement, count, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -198,10 +197,12 @@ class Corpus:
                 if texts is None:
                     texts = _record_texts(_parse_file(Path(path), data))
                     rewrite = True
-                # Under the trust rule a read means a changed, new or racy
-                # file; a rewrite records it.
-                rewrite = rewrite or _TRUST_STAT or \
-                    index.get(record_id) != entry
+                # Record a new or changed signature, or a racy file that a
+                # summary stamped ``began`` would trust (a file changed at
+                # or after it, or under a clock stepped back, stays racy).
+                rewrite = rewrite or index.get(record_id) != entry or (
+                    _TRUST_STAT and began is not None
+                    and status.st_ctime_ns < began)
             else:
                 texts = records[entry[1]]
             fresh[entry[1]] = texts
@@ -241,22 +242,18 @@ def _signature(status: os.stat_result) -> tuple[int, int, int, int]:
             status.st_ctime_ns)
 
 
-# What _read_summary gives for a missing or unusable summary.  Like every
-# decoded summary it is shared, so nothing may change it.
+# What _read_summary gives for a missing or unusable summary.  It is
+# shared, so nothing may change it.
 _NO_SUMMARY: tuple = ({}, {}, None, False)
-# The last summary decoded in this process: its file's identity and what
-# _read_summary gave for it.
-_last_summary: tuple = ((), _NO_SUMMARY)
 
 
 def _read_summary(path: str) -> tuple:
     """``(records, index, stamp, malformed)`` from the summary at ``path``:
     its content-keyed entries, its stat index as ``{record_id: (signature,
     key)}``, its mtime in ns and whether any entry was dropped as
-    malformed.  An unchanged file is decoded once per process; a file that
-    is not a regular one in the current format gives no entries.  Opening
-    follows no symlink and does not wait on a FIFO."""
-    global _last_summary
+    malformed.  A file that is not a regular one in the current format
+    gives no entries.  Opening follows no symlink and does not wait on a
+    FIFO."""
     try:
         fd = os.open(path, _SUMMARY_READ_FLAGS)
     except OSError:
@@ -265,18 +262,12 @@ def _read_summary(path: str) -> tuple:
         status = os.fstat(fd)
         if not stat.S_ISREG(status.st_mode):
             return _NO_SUMMARY
-        identity = (status.st_dev, *_signature(status))
-        last = _last_summary  # one read: another thread may replace it
-        if last[0] == identity:
-            return last[1]
         payload = json.loads(_read_all(fd, status))
     except (OSError, ValueError, RecursionError):
         return _NO_SUMMARY
     finally:
         os.close(fd)
-    summary = _decode_summary(payload, status.st_mtime_ns)
-    _last_summary = identity, summary
-    return summary
+    return _decode_summary(payload, status.st_mtime_ns)
 
 
 def _decode_summary(payload, stamp: int) -> tuple:
@@ -490,11 +481,14 @@ def compute_stats(records: Iterable[AttackRecord], catalog: Catalog,
     ``-1``, say) raises :class:`InvalidCodeError` at any grouping depth.
     """
     import fractions
-    groups = list(_group_codes(records, _group_depth(group_by),
-                               merge_profiles,
-                               list if count_selections else set))
-    counts = Counter(chain.from_iterable(groups))
-    total = counts.total() if count_selections else len(groups)
+    groups = _group_codes(records, _group_depth(group_by), merge_profiles,
+                          list if count_selections else set)
+    # zip stops at the end of groups before it draws from tally, so tally's
+    # next value is the record total; the records stream through.
+    tally = count()
+    counts = Counter(chain.from_iterable(map(itemgetter(0),
+                                             zip(groups, tally))))
+    total = counts.total() if count_selections else next(tally)
     # A total of 0 leaves no counts, so no share divides by it.
     shares = {count: fractions.Fraction(count, total)
               for count in set(counts.values())}

@@ -419,6 +419,17 @@ def test_empty_corpus_stats(tmp_path, bundled_catalog):
     assert render_csv(report) == "code,name,count,share\n"
 
 
+def test_stats_over_a_one_shot_iterator_match_a_list(bundled_catalog):
+    records = record_batch(bundled_catalog, seed=5, count=12)
+    for count_selections in (False, True):
+        for source in (records, []):
+            report = compute_stats(iter(source), bundled_catalog,
+                                   count_selections=count_selections)
+            assert report == compute_stats(
+                source, bundled_catalog, count_selections=count_selections)
+    assert compute_stats(iter(records), bundled_catalog).total == 12
+
+
 def test_unknown_grouping_is_rejected(fixture_corpus, bundled_catalog):
     with pytest.raises(ValueError):
         compute_stats(fixture_corpus, bundled_catalog, "paragraph")
