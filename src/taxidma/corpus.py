@@ -8,23 +8,23 @@ exclusively, then renamed into place (``_replace``).  No lock is taken: a
 dead writer blocks nothing, and of overlapping stores of one id the last wins.
 
 Statistics over a corpus read a summary file, ``.taxidma-summary``, beside
-the records.  Its ``records`` member maps the sha256 of each record file's
-bytes to that record's selection codes as canonical texts.  Its ``stat``
-member, the stat index, maps each record id to that key and the file's
-``st_ino``, ``st_size``, ``st_mtime_ns`` and ``st_ctime_ns``.  A query
-stats each file and takes the key from the index without opening the file
-only when the signature matches and the file's ctime is strictly older than
-the summary's own mtime: git's racy-clean rule, applied to ctime because
-``os.utime`` can restore an mtime but not a ctime.  Any other file is read
-and hashed, and parsed only if its hash is not in the summary.  A writer
-sets the summary's mtime to the file system's time from before its first
-read (the mtime of a scratch file created and removed beside the summary),
-so a change that lands after reading began leaves a ctime no older than
-the summary and is read again: an entry never goes stale.  Off POSIX,
-where ``st_ctime`` is not the inode change time, every file is read.  Like
-git, this trusts the file system's stat data; on NFS a client's attribute
-cache can lag behind another client's writes, and until it catches up a
-query there can miss such a write.
+the records.  Its ``records`` member maps each record id, in record order,
+to one entry: the sha256 of the file's bytes, the file's ``st_ino``,
+``st_size``, ``st_mtime_ns`` and ``st_ctime_ns``, and the record's
+selection codes as canonical texts.  A query stats each file and takes its
+texts without opening the file only when the signature matches and the
+file's ctime is strictly older than the summary's own mtime: git's
+racy-clean rule, applied to ctime because ``os.utime`` can restore an mtime
+but not a ctime.  Any other file is read and hashed, and parsed only if its
+hash differs from its entry's.  A writer sets the summary's mtime to the
+file system's time from before its first read (the mtime of a scratch file
+created and removed beside the summary), so a change that lands after
+reading began leaves a ctime no older than the summary and is read again:
+an entry never goes stale.  Off POSIX, where ``st_ctime`` is not the inode
+change time, every file is read.  Like git, this trusts the file system's
+stat data; on NFS a client's attribute cache can lag behind another
+client's writes, and until it catches up a query there can miss such a
+write.
 
 A warm query, one that trusts every file, makes one ``os.stat`` per file,
 parses nothing and writes nothing.  Each distinct code text is cut to its
@@ -32,10 +32,10 @@ group code once per process (``_CUT_MEMOS``), and one ``Counter`` counts
 all records.  The summary is only a cache: a missing, unreadable or
 malformed one, one that is not a regular file, or a malformed entry is
 ignored and the files are read, and deleting it changes no output.
-Readers keep it up to date, not writers: a query that parsed any file,
-found a file whose stat entry changed, read a racy file that its new
-summary would settle, or found entries for files that are gone rewrites
-the whole summary and ignores any failure to write it.
+Readers keep it up to date, not writers: a query that read a file whose
+entry is new or changed, read a racy file that its new summary would
+settle, or found entries for files that are gone rewrites the whole
+summary and ignores any failure to write it.
 
 Statistics count *records* by default: a code (pruned to the requested
 grouping depth) scores one per record that selects it anywhere, which keeps
@@ -91,7 +91,7 @@ if TYPE_CHECKING:  # imported by compute_stats, its only user
 SUMMARY_NAME = ".taxidma-summary"
 # Bump when parsing or canonical texts change, so old summaries are ignored;
 # tests/test_summary.py pins the summary each format writes.
-_SUMMARY_FORMAT = "taxidma-summary 1"
+_SUMMARY_FORMAT = "taxidma-summary 2"
 _SUMMARY_READ_FLAGS = (os.O_RDONLY | getattr(os, "O_NOFOLLOW", 0)
                        | getattr(os, "O_NONBLOCK", 0))
 _READ_CHUNK = 16 * 1024  # reads after the first, which fstat sizes
@@ -164,10 +164,8 @@ class Corpus:
         prefix = str(self.root / "x")[:-1]
         summary_path = prefix + SUMMARY_NAME
         # A summary with malformed entries is rewritten whatever happens.
-        records, index, stamp, rewrite = _read_summary(summary_path)
-        trusted = index if _TRUST_STAT else {}
-        fresh: dict[str, list[str]] = {}
-        signed: dict[str, tuple[tuple[int, ...], str]] = {}
+        entries, stamp, rewrite = _read_summary(summary_path)
+        kept: dict[str, list] = {}
         out = []
         # The new summary's mtime: the old one's, or once a file is read the
         # file system's time from before that read (None if unknown).
@@ -175,7 +173,8 @@ class Corpus:
         reading = False
         for record_id in self.record_ids():
             path = f"{prefix}{record_id}{RECORD_FILE_SUFFIX}"
-            entry = trusted.get(record_id)
+            old = entries.get(record_id)
+            entry = old if _TRUST_STAT else None
             if entry is not None:
                 try:
                     status = os.stat(path)
@@ -183,7 +182,7 @@ class Corpus:
                     entry = None
                 else:
                     if status.st_ctime_ns >= stamp or \
-                            entry[0] != _signature(status):
+                            entry[1:5] != _signature(status):
                         entry = None
             if entry is None:
                 if not reading:
@@ -191,26 +190,22 @@ class Corpus:
                     reading = True
                     began = _fs_clock(summary_path)
                 data, status = self._read_bytes(record_id, path)
-                entry = _signature(status), \
-                    hashlib.sha256(data).hexdigest()
-                texts = records.get(entry[1])
-                if texts is None:
+                key = hashlib.sha256(data).hexdigest()
+                if old is not None and old[0] == key:
+                    texts = old[5]
+                else:
                     texts = _record_texts(_parse_file(Path(path), data))
-                    rewrite = True
-                # Record a new or changed signature, or a racy file that a
+                entry = [key, *_signature(status), texts]
+                # Record a new or changed entry, or a racy file that a
                 # summary stamped ``began`` would trust (a file changed at
                 # or after it, or under a clock stepped back, stays racy).
-                rewrite = rewrite or index.get(record_id) != entry or (
+                rewrite = rewrite or entry != old or (
                     _TRUST_STAT and began is not None
                     and status.st_ctime_ns < began)
-            else:
-                texts = records[entry[1]]
-            fresh[entry[1]] = texts
-            signed[record_id] = entry
-            out.append(texts)
-        if began is not None and (rewrite or len(fresh) != len(records)
-                                  or len(signed) != len(index)):
-            _write_summary(summary_path, fresh, signed, began)
+            kept[record_id] = entry
+            out.append(entry[5])
+        if began is not None and (rewrite or len(kept) != len(entries)):
+            _write_summary(summary_path, kept, began)
         return out
 
     def store(self, record: AttackRecord) -> Path:
@@ -237,73 +232,52 @@ class Corpus:
         return path
 
 
-def _signature(status: os.stat_result) -> tuple[int, int, int, int]:
-    return (status.st_ino, status.st_size, status.st_mtime_ns,
-            status.st_ctime_ns)
+def _signature(status: os.stat_result) -> list[int]:
+    return [status.st_ino, status.st_size, status.st_mtime_ns,
+            status.st_ctime_ns]
 
 
-# What _read_summary gives for a missing or unusable summary.  It is
-# shared, so nothing may change it.
-_NO_SUMMARY: tuple = ({}, {}, None, False)
-
-
-def _read_summary(path: str) -> tuple:
-    """``(records, index, stamp, malformed)`` from the summary at ``path``:
-    its content-keyed entries, its stat index as ``{record_id: (signature,
-    key)}``, its mtime in ns and whether any entry was dropped as
-    malformed.  A file that is not a regular one in the current format
-    gives no entries.  Opening follows no symlink and does not wait on a
-    FIFO."""
+def _read_summary(path: str) -> tuple[dict[str, list], int | None, bool]:
+    """``(entries, stamp, malformed)`` from the summary at ``path``: its
+    well-formed entries by record id, its mtime in ns and whether any entry
+    was dropped as malformed.  A file that is not a regular one in the
+    current format gives no entries.  Opening follows no symlink and does
+    not wait on a FIFO."""
     try:
         fd = os.open(path, _SUMMARY_READ_FLAGS)
     except OSError:
-        return _NO_SUMMARY
+        return {}, None, False
     try:
         status = os.fstat(fd)
-        if not stat.S_ISREG(status.st_mode):
-            return _NO_SUMMARY
-        payload = json.loads(_read_all(fd, status))
+        payload = json.loads(_read_all(fd, status)) \
+            if stat.S_ISREG(status.st_mode) else None
     except (OSError, ValueError, RecursionError):
-        return _NO_SUMMARY
+        payload = None
     finally:
         os.close(fd)
-    return _decode_summary(payload, status.st_mtime_ns)
-
-
-def _decode_summary(payload, stamp: int) -> tuple:
-    """``_read_summary``'s tuple for a decoded summary file, keeping only
-    well-formed entries."""
     if type(payload) is not dict or \
             payload.get("format") != _SUMMARY_FORMAT or \
             type(payload.get("records")) is not dict:
-        return _NO_SUMMARY
-    records = {key: texts for key, texts in payload["records"].items()
-               if type(texts) is list
-               and all(map(str.__instancecheck__, texts))}
-    stats = payload.get("stat")
-    if type(stats) is not dict:
-        stats = {}
-    index = {record_id: (tuple(entry[1:]), entry[0])
-             for record_id, entry in stats.items()
-             if type(entry) is list and len(entry) == 5
-             and type(entry[0]) is str and entry[0] in records
-             and all(type(field) is int for field in entry[1:])}
-    malformed = len(records) < len(payload["records"]) or \
-        len(index) < len(stats)
-    return records, index, stamp, malformed
+        return {}, None, False
+    entries = {record_id: entry
+               for record_id, entry in payload["records"].items()
+               if type(entry) is list and len(entry) == 6
+               and type(entry[0]) is str
+               and all(type(field) is int for field in entry[1:5])
+               and type(entry[5]) is list
+               and all(map(str.__instancecheck__, entry[5]))}
+    return entries, status.st_mtime_ns, \
+        len(entries) < len(payload["records"])
 
 
-def _write_summary(path: str, entries: dict[str, list[str]],
-                   signed: dict[str, tuple[tuple[int, ...], str]],
-                   mtime_ns: int) -> None:
+def _write_summary(path: str, entries: dict[str, list], mtime_ns: int
+                   ) -> None:
     """Replace the summary, with its mtime set to ``mtime_ns``, or leave it
     be on any failure."""
     with contextlib.suppress(OSError):
-        _replace(path, json.dumps({
-            "format": _SUMMARY_FORMAT, "records": entries,
-            "stat": {record_id: [key, *signature]
-                     for record_id, (signature, key) in signed.items()},
-        }).encode(), mtime_ns)
+        _replace(path, json.dumps(
+            {"format": _SUMMARY_FORMAT, "records": entries},
+            separators=(",", ":")).encode(), mtime_ns)
 
 
 def _fs_clock(summary_path: str) -> int | None:

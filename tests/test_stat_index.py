@@ -1,7 +1,7 @@
-"""The summary's stat index: a warm query stats each record file instead of
-reading and hashing it, and trusts a signature only under the racy-clean
-rule.  Whatever the history of the files and the summary, outputs stay
-those of the records loaded afresh."""
+"""The stat data in the summary's entries: a warm query stats each record
+file instead of reading and hashing it, and trusts a signature only under
+the racy-clean rule.  Whatever the history of the files and the summary,
+outputs stay those of the records loaded afresh."""
 from __future__ import annotations
 
 import hashlib
@@ -30,7 +30,7 @@ from taxidma.corpus import (
 )
 from taxidma.record import BACKGROUND, RECORD_FILE_SUFFIX, add_selection, \
     new_record
-from test_summary import _summary, outputs
+from test_summary import _summary, corpus_texts, outputs
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -106,21 +106,20 @@ def _answers(source, catalog) -> dict:
 
 
 def _check_index(corpus: Corpus) -> None:
-    """The summary holds one well-formed stat entry per current file, in
-    record order, matching the file as it is, and one entry per key."""
+    """The summary holds one well-formed entry per current file, in record
+    order, matching the file as it is and the texts a fresh parse gives."""
     payload = json.loads(_summary(corpus).read_bytes())
+    assert list(payload) == ["format", "records"]
     ids = corpus.record_ids()
-    assert list(payload["stat"]) == ids
-    for record_id in ids:
+    assert list(payload["records"]) == ids
+    for record_id, texts in zip(ids, corpus_texts(_fresh(corpus))):
         path = corpus.path_for(record_id)
         status = os.stat(path)
-        entry = payload["stat"][record_id]
+        entry = payload["records"][record_id]
         assert entry == [hashlib.sha256(path.read_bytes()).hexdigest(),
                          status.st_ino, status.st_size, status.st_mtime_ns,
-                         status.st_ctime_ns]
-        assert all(type(field) is int for field in entry[1:])
-    assert set(payload["records"]) == \
-        {entry[0] for entry in payload["stat"].values()}
+                         status.st_ctime_ns, texts]
+        assert all(type(field) is int for field in entry[1:5])
 
 
 _SWAPPABLE = re.compile(rb'"BG\.I\.A\.([123])"')
@@ -285,31 +284,35 @@ def test_a_file_rewritten_during_a_query_is_read_again(
     _check_index(corpus)
 
 
-def _entry_fields_as_floats(stats: dict) -> None:
-    record_id = next(iter(stats))
-    key, *fields = stats[record_id]
-    stats[record_id] = [key, *map(float, fields)]
+def _entry_fields_as_floats(entries: dict) -> None:
+    entry = entries[next(iter(entries))]
+    entry[1:5] = map(float, entry[1:5])
 
 
-def _entry_field_as_text(stats: dict) -> None:
-    entry = stats[next(iter(stats))]
+def _entry_field_as_text(entries: dict) -> None:
+    entry = entries[next(iter(entries))]
     entry[2] = str(entry[2])
 
 
 MALFORMED_INDEXES = {
     "not-a-dict": lambda payload: payload.update(
-        stat=list(payload["stat"].values())),
-    "short-entry": lambda payload: payload["stat"].update(
-        {key: entry[:4] for key, entry in payload["stat"].items()}),
-    "entry-not-a-list": lambda payload: payload["stat"].update(
-        {next(iter(payload["stat"])): {"ino": 1}}),
-    "float-fields": lambda payload: _entry_fields_as_floats(payload["stat"]),
-    "text-field": lambda payload: _entry_field_as_text(payload["stat"]),
-    "key-not-in-records": lambda payload: payload["stat"][
-        next(iter(payload["stat"]))].__setitem__(0, "0" * 64),
-    "id-with-no-file": lambda payload: payload["stat"].update(
-        ghost=next(iter(payload["stat"].values()))),
-    "malformed-entry-with-no-file": lambda payload: payload["stat"].update(
+        records=list(payload["records"].values())),
+    "short-entry": lambda payload: payload["records"].update(
+        {key: entry[:5] for key, entry in payload["records"].items()}),
+    "entry-not-a-list": lambda payload: payload["records"].update(
+        {next(iter(payload["records"])): {"ino": 1}}),
+    "float-fields": lambda payload: _entry_fields_as_floats(
+        payload["records"]),
+    "text-field": lambda payload: _entry_field_as_text(payload["records"]),
+    "key-not-a-string": lambda payload: payload["records"][
+        next(iter(payload["records"]))].__setitem__(0, 5),
+    "texts-not-a-list": lambda payload: payload["records"][
+        next(iter(payload["records"]))].__setitem__(5, {"BG.A.T": 1}),
+    "text-not-a-string": lambda payload: payload["records"][
+        next(iter(payload["records"]))][5].append(7),
+    "id-with-no-file": lambda payload: payload["records"].update(
+        ghost=next(iter(payload["records"].values()))),
+    "malformed-entry-with-no-file": lambda payload: payload["records"].update(
         ghost=[1]),
 }
 
@@ -332,24 +335,34 @@ def test_a_malformed_stat_index_is_ignored(corpus, bundled_catalog, case):
     _check_index(corpus)
 
 
-def test_a_summary_without_a_stat_index_reads_every_file(
+def test_a_format_1_summary_is_read_anew_and_replaced(
         corpus, bundled_catalog, reads):
-    _settle(corpus, bundled_catalog)
+    expected = outputs(_fresh(corpus), bundled_catalog)
+    # The summary as format 1 wrote it: texts keyed by the sha256 of each
+    # file, and a stat index whose signatures match the files, stamped
+    # after every change so that format 1 would trust each of them.
+    records, index = {}, {}
+    for record_id, texts in zip(corpus.record_ids(),
+                                corpus_texts(_fresh(corpus))):
+        path = corpus.path_for(record_id)
+        key = hashlib.sha256(path.read_bytes()).hexdigest()
+        status = os.stat(path)
+        records[key] = texts
+        index[record_id] = [key, status.st_ino, status.st_size,
+                            status.st_mtime_ns, status.st_ctime_ns]
+    _wait_past_changes(corpus.root)
+    _summary(corpus).write_text(json.dumps(
+        {"format": "taxidma-summary 1", "records": records, "stat": index}))
     reads.clear()
-    compute_stats(corpus, bundled_catalog)
-    assert reads == []
-    # Replace the summary with the same one as a version without the stat
-    # index writes it; its entries are no longer trusted.
-    payload = json.loads(_summary(corpus).read_bytes())
-    del payload["stat"]
-    replacement = corpus.root / "replacement"
-    replacement.write_text(json.dumps(payload))
-    os.replace(replacement, _summary(corpus))
-    compute_stats(corpus, bundled_catalog)
+    report = compute_stats(corpus, bundled_catalog)
     assert reads == corpus.record_ids()
-    rewritten = json.loads(_summary(corpus).read_bytes())
-    assert rewritten.pop("stat")
-    assert rewritten == payload
+    assert report == expected["stats", "item", False, False]
+    assert json.loads(_summary(corpus).read_bytes())["format"] == \
+        "taxidma-summary 2"
+    _check_index(corpus)
+    reads.clear()
+    assert outputs(corpus, bundled_catalog) == expected
+    assert reads == []
 
 
 def test_without_posix_ctimes_every_query_reads_every_file(

@@ -1,4 +1,4 @@
-"""The corpus summary: a content-keyed cache that statistics read instead of
+"""The corpus summary: a per-record cache that statistics read instead of
 parsing every record file.  Whatever state it is in, outputs stay those of
 a corpus without one."""
 from __future__ import annotations
@@ -260,13 +260,12 @@ def test_summary_keeps_one_entry_per_current_file(tmp_path, bundled_catalog):
     for record_id in ("r1", "gen-0002", "gen-0005"):
         corpus.path_for(record_id).unlink()
     co_occurrence(corpus)
-    current = {hashlib.sha256(corpus.path_for(rid).read_bytes()).hexdigest()
-               for rid in corpus.record_ids()}
-    assert len(current) == 6
-    assert set(entries()) == current
+    assert list(entries()) == corpus.record_ids()
+    assert len(entries()) == 6
     for record_id, texts in zip(corpus.record_ids(), corpus_texts(corpus)):
         key = hashlib.sha256(corpus.path_for(record_id).read_bytes())
-        assert entries()[key.hexdigest()] == texts
+        assert entries()[record_id][0] == key.hexdigest()
+        assert entries()[record_id][5] == texts
 
 
 def corpus_texts(records: Iterable[AttackRecord]) -> list[list[str]]:
@@ -286,8 +285,8 @@ def test_summary_entries_keep_order_and_duplicates(tmp_path, bundled_catalog):
     report = compute_stats(corpus, bundled_catalog, "leaf",
                            count_selections=True)
     assert report.total == 4
-    (texts,) = json.loads(_summary(corpus).read_bytes())["records"].values()
-    assert texts == ["BG.K.R.4", "BG.I.A.1", "BG.K.R.4", "BG.I.A"]
+    (entry,) = json.loads(_summary(corpus).read_bytes())["records"].values()
+    assert entry[5] == ["BG.K.R.4", "BG.I.A.1", "BG.K.R.4", "BG.I.A"]
     assert compute_stats(corpus, bundled_catalog, "leaf",
                          count_selections=True) == report
 
@@ -413,6 +412,8 @@ EDGE_RECORD = (
 PINNED_SUMMARIES = {
     "taxidma-summary 1":
         "204d84a8b8cc149a92e80968fa6713dd65aaa0eb2efafc8f0113b2890ccf6fb8",
+    "taxidma-summary 2":
+        "d0d6ad5a7d717a9f17aeebe0408835bd0c84bf13454019c0ab94fb5c3c29b88f",
 }
 
 
@@ -423,16 +424,17 @@ def test_summary_format_pins_parsing_and_texts(tmp_path, bundled_catalog):
         (tmp_path / name).write_bytes((FIXTURES / name).read_bytes())
     (tmp_path / "edge.taxidma.json").write_bytes(EDGE_RECORD)
     compute_stats(corpus, bundled_catalog)
-    # The stat index holds inode numbers and times, which differ from run
-    # to run, so the pin covers the summary as dumped without it.
+    # Each entry's stat fields hold inode numbers and times, which differ
+    # from run to run, so the pin covers the summary as dumped without them.
     payload = json.loads(_summary(corpus).read_bytes())
-    index = payload.pop("stat")
+    entries = payload["records"]
+    assert list(entries) == sorted([*FIXTURE_IDS, "edge"])
+    for record_id, (key, *fields, texts) in entries.items():
+        assert len(fields) == 4
+        assert all(type(field) is int for field in fields)
+        entries[record_id] = [key, texts]
     digest = hashlib.sha256(json.dumps(payload).encode()).hexdigest()
     assert PINNED_SUMMARIES.get(corpus_module._SUMMARY_FORMAT) == digest
-    assert sorted(index) == sorted([*FIXTURE_IDS, "edge"])
-    for entry in index.values():
-        assert len(entry) == 5
-        assert entry[0] in payload["records"]
 
 
 def test_warm_summary_queries_parse_no_code(corpus, bundled_catalog,
