@@ -157,35 +157,9 @@ class Catalog:
         self._checksum: str | bytes = checksum
         self._tax_by_code = _first_by_code(taxonomies)
         self._profile_by_code = _first_by_code(profiles)
-        self._effective: dict[tuple[str | None, str, str], tuple[Item, ...]] = {}
-        self._build_effective()
         # Canonical code text -> (taxonomy, category, item, leaf_chain).
         self._index: dict[str, tuple] = {}
         self._build_index()
-
-    def _build_effective(self) -> None:
-        for profile in (None, *self.profiles):  # None: the base taxonomies
-            code, overrides = (None, ()) if profile is None else (
-                profile.code, profile.overrides)
-            for taxonomy in self.taxonomies:
-                for category in taxonomy.categories:
-                    items = list(category.items)
-                    overridden: set[str] = set()  # the first override wins
-                    for ov in overrides:
-                        if (ov.taxonomy, ov.category) != (taxonomy.code,
-                                                          category.code) \
-                                or ov.item in overridden:
-                            continue
-                        overridden.add(ov.item)
-                        for pos, existing in enumerate(items):
-                            if existing.code == ov.item:
-                                items[pos] = ov.definition
-                                break
-                        else:
-                            items.append(ov.definition)
-                    # Cache every combination so lookups never special-case.
-                    self._effective.setdefault(
-                        (code, taxonomy.code, category.code), tuple(items))
 
     @property
     def checksum(self) -> str:
@@ -207,7 +181,26 @@ class Catalog:
 
     def effective_items(self, profile: str | None, taxonomy: str,
                         category: str) -> tuple[Item, ...]:
-        return self._effective.get((profile, taxonomy, category), ())
+        """The items of the first ``taxonomy.category`` declared, as
+        ``profile`` (None: the base) sees them: its first override of an
+        item replaces it in place or is appended.  ``()`` when the category
+        or the profile is unknown."""
+        found = next((cat for tax in self.taxonomies if tax.code == taxonomy
+                      for cat in tax.categories if cat.code == category), None)
+        owner = None if profile is None else self.profile(profile)
+        if found is None or owner is None and profile is not None:
+            return ()
+        items = list(found.items)
+        overridden: set[str] = set()
+        for ov in owner.overrides if owner is not None else ():
+            if (ov.taxonomy, ov.category) != (taxonomy, category) \
+                    or ov.item in overridden:
+                continue
+            overridden.add(ov.item)
+            pos = next((pos for pos, item in enumerate(items)
+                        if item.code == ov.item), len(items))
+            items[pos:pos + 1] = [ov.definition]  # at len(items): appended
+        return tuple(items)
 
     @cached_property
     def vocabulary(self):

@@ -38,7 +38,9 @@ REGISTERED_PROFILES: tuple[str, ...] = ("IoT", "SSI")
 # likewise never resolve).
 KNOWN_TAXONOMIES: tuple[str, ...] = ("BG", "SI", "IMS", "UE", "WA", "IoT", "SSI")
 
-_TAX_RE = re.compile(r"[A-Z]{2,3}")
+# A taxonomy token: a registered profile token, or two or three uppercase
+# letters; one that _FOLDED_TOKENS maps elsewhere (IOT) is a case variant.
+_TAX_RE = re.compile("|".join((*REGISTERED_PROFILES, "[A-Z]{2,3}")))
 _CAT_RE = re.compile(r"[A-Z]")
 _ITEM_RE = re.compile(r"[A-Z]{1,2}")
 _NUM_RE = re.compile(r"0|[1-9][0-9]*")
@@ -176,25 +178,15 @@ def _expect_dot(text: str, work: str, pos: int) -> int:
 
 
 def _scan_taxonomy(text: str, work: str, pos: int, lenient: bool) -> tuple[str, int]:
-    if not lenient:
-        for token in REGISTERED_PROFILES:
-            if text.startswith(token, pos):
-                return token, pos + len(token)
     match = _TAX_RE.match(work, pos)
     if match is None:
         raise _fail(text, "expected taxonomy token", pos)
     token = match.group(0)
-    if token in _FOLDED_TOKENS:
-        canonical = _FOLDED_TOKENS[token]
-        if lenient:
-            return canonical, match.end()
-        if text[pos:match.end()] != canonical:
-            raise _fail(
-                text,
-                f"case variant of registered token {canonical!r}",
-                pos,
-            )
-    return token, match.end()
+    canonical = _FOLDED_TOKENS.get(token, token)
+    if canonical != token and not lenient:
+        raise _fail(text, f"case variant of registered token {canonical!r}",
+                    pos)
+    return canonical, match.end()
 
 
 def _scan_token(text: str, work: str, pos: int, pattern: re.Pattern[str],
@@ -232,10 +224,9 @@ def format_code(code: TaxonomyCode) -> str:
     if code.profile is not None and code.profile not in REGISTERED_PROFILES:
         raise InvalidCodeError(f"unknown profile {code.profile!r}")
     tax = code.taxonomy
-    if tax not in REGISTERED_PROFILES:
-        if (not isinstance(tax, str) or _TAX_RE.fullmatch(tax) is None
-                or tax in _FOLDED_TOKENS):
-            raise InvalidCodeError(f"bad taxonomy token {tax!r}")
+    if (not isinstance(tax, str) or _TAX_RE.fullmatch(tax) is None
+            or _FOLDED_TOKENS.get(tax, tax) != tax):
+        raise InvalidCodeError(f"bad taxonomy token {tax!r}")
     if code.category is None:
         if code.item is not None or code.leaf_path:
             raise InvalidCodeError("item/leaves require a category")

@@ -78,11 +78,16 @@ _NATIVE_ACCOUNT_TYPES = (
 )
 _ADDED_ACCOUNT_TYPES = ("microsoft", "linux", "iot", "mobile")
 
+# The two SCO types this extension introduces, each derived from the
+# attack-type token that triggers it.
+_DERIVED_SCOS = {"social-engineering": "social-engineering",
+                 "osint": "osint-based"}
+
 _SCO_TYPES = {
     "artifact", "autonomous-system", "directory", "domain-name", "email-addr",
     "email-message", "file", "ipv4-addr", "ipv6-addr", "mac-addr", "mutex",
     "network-traffic", "process", "software", "url", "user-account",
-    "windows-registry-key", "x509-certificate", "social-engineering", "osint",
+    "windows-registry-key", "x509-certificate", *_DERIVED_SCOS,
 }
 
 COMMON_PROPS = {
@@ -170,48 +175,56 @@ for _slot in _SLOTS:
     _SLOTS_OF.setdefault(_slot.object_type, []).append(_slot)
 
 
-def _schema(object_type: str, nested: bool) -> tuple[str, ...]:
-    """The table's properties of one type and placement, plus the scope
-    markers: ``taxonomy``, and ``application_index`` when an application
-    scope can fill the type."""
+def _schema(object_type: str, new_sdo: bool, *extra: str) -> frozenset[str]:
+    """What this extension lets a type carry where it puts its properties:
+    top-level, beside the common ones, on a new SDO type, and in the
+    payload otherwise.  That is the table's properties placed there, the
+    scope markers (``taxonomy``, and ``application_index`` when an
+    application scope can fill the type) and ``extra``."""
     slots = _SLOTS_OF.get(object_type, ())
     markers = ("taxonomy", "application_index") if any(
         _APP in slot.scopes for slot in slots) else ("taxonomy",)
-    return tuple(prop for slot in slots for prop, inside in slot.placements()
-                 if inside == nested) + markers
+    return frozenset((
+        *(COMMON_PROPS if new_sdo else ("extension_type",)),
+        *(prop for slot in slots for prop, inside in slot.placements()
+          if inside != new_sdo), *markers, *extra))
 
 
-# Properties of the three new SDO types that the table does not supply:
-# "domain" is the renamed sector, the rest is never emitted, and the
-# category object has no rows but is emitted per application.
-_NEW_SDO_EXTRAS = {
-    "targeted-organization": ("domain", "description", "size"),
-    "device": (),
-    "identity-management-category": (
-        "description", "vendor", "protocol", "version", "indicator", "cpe",
-        "swid", "languages", "kill_chain_phase", "application_index"),
+_NAME, _BARE = ("name",), frozenset(("extension_type",))
+
+# What each object type may carry: (required properties, allowed top-level
+# properties or None when unchecked, allowed payload properties of this
+# extension or None when the type takes none, the extension type the
+# object must declare or None).  ``taxonomy`` and ``application_index``
+# tie an object back to the record structure.
+_KINDS: dict[str, tuple] = {
+    "attack-pattern": (_NAME, None, _schema("attack-pattern", False), None),
+    "campaign": (_NAME, None, None, None),
+    "identity": (_NAME, None, _schema("identity", False), None),
+    "incident": (_NAME, None, None, None),
+    "indicator": (("pattern", "pattern_type", "valid_from"), None,
+                  _schema("indicator", False), None),
+    "intrusion-set": (_NAME, None, _schema("intrusion-set", False), None),
+    "threat-actor": (_NAME, None, _schema("threat-actor", False), None),
+    "vulnerability": (_NAME, None, _schema("vulnerability", False, "code"),
+                      None),
+    "relationship": (("relationship_type", "source_ref", "target_ref"),
+                     None, None, None),
+    "extension-definition": (("name", "schema", "version", "extension_types",
+                              "created_by_ref"), None, None, None),
+    # "domain" is the renamed sector, the rest is never emitted, and the
+    # category object has no rows but is emitted per application.
+    "targeted-organization": (_NAME, _schema(
+        "targeted-organization", True, "domain", "description", "size"),
+        _BARE, "new-sdo"),
+    "device": (_NAME, _schema("device", True), _BARE, "new-sdo"),
+    "identity-management-category": (_NAME, _schema(
+        "identity-management-category", True, "description", "vendor",
+        "protocol", "version", "indicator", "cpe", "swid", "languages",
+        "kill_chain_phase", "application_index"), _BARE, "new-sdo"),
+    **dict.fromkeys(_DERIVED_SCOS, (("value",), None, _BARE, "new-sco")),
 }
-
-# Schemas of the three SDO types this extension introduces.  ``taxonomy``
-# and ``application_index`` tie an object back to the record structure.
-NEW_SDO_PROPERTIES = {
-    object_type: {"required": ("name",),
-                  "optional": _schema(object_type, False) + extras}
-    for object_type, extras in _NEW_SDO_EXTRAS.items()
-}
-
-NEW_SCO_TYPES = ("social-engineering", "osint")
-
-# Extension payload properties allowed per object type.  The new types
-# carry nothing but ``extension_type`` there; vulnerabilities carry their
-# code.
-_EXTENSION_PROPS: dict[str, frozenset[str]] = dict.fromkeys(
-    (*NEW_SDO_PROPERTIES, *NEW_SCO_TYPES), frozenset(("extension_type",)))
-_EXTENSION_PROPS.update(
-    (object_type, frozenset(("extension_type", *_schema(object_type, True))))
-    for object_type in _SLOTS_OF if object_type not in NEW_SDO_PROPERTIES)
-_EXTENSION_PROPS["vulnerability"] = frozenset(
-    ("extension_type", "taxonomy", "code"))
+_NO_KIND = ((), None, None, None)
 
 # Taxidma vocabulary properties that must never sit top-level on a standard
 # STIX type: in flagging order, and as a set for the common all-clear.
@@ -223,27 +236,6 @@ _NESTED_ONLY = frozenset(_NESTED_ONLY_PROPS)
 _IDENTITY_CLASS = {"BG": "unknown", "SI": "system", "IMS": "system",
                    "UE": "individual"}
 
-_REQUIRED_BY_TYPE = {
-    "attack-pattern": ("name",),
-    "campaign": ("name",),
-    "identity": ("name",),
-    "incident": ("name",),
-    "indicator": ("pattern", "pattern_type", "valid_from"),
-    "intrusion-set": ("name",),
-    "threat-actor": ("name",),
-    "vulnerability": ("name",),
-    "relationship": ("relationship_type", "source_ref", "target_ref"),
-    "extension-definition": ("name", "schema", "version", "extension_types",
-                             "created_by_ref"),
-    **{object_type: schema["required"]
-       for object_type, schema in NEW_SDO_PROPERTIES.items()},
-    **dict.fromkeys(NEW_SCO_TYPES, ("value",)),
-}
-
-# What validate_bundle checks each object against, built once.
-_ALLOWED_TOP = {object_type: frozenset(
-    (*COMMON_PROPS, *schema["required"], *schema["optional"]))
-    for object_type, schema in NEW_SDO_PROPERTIES.items()}
 _EXTENSION_TYPES = frozenset((
     "new-sdo", "new-sco", "new-sro", "property-extension",
     "toplevel-property-extension"))
@@ -537,7 +529,7 @@ def _build(object_type: str, object_id: str, stamp: str, name: str,
     markers: dict = {"taxonomy": scope.tax_key}
     if scope.index is not None:
         markers["application_index"] = scope.index
-    if object_type in NEW_SDO_PROPERTIES:
+    if _KINDS[object_type][3] == "new-sdo":
         obj.update(markers)
         return _attach(obj, {"extension_type": "new-sdo"})
     return _attach(obj, {"extension_type": "property-extension", **markers,
@@ -667,8 +659,7 @@ def to_stix(record: AttackRecord, catalog: Catalog,
 
         attack_tokens = next((tokens for slot, tokens in scope.values.items()
                               if slot.prop == "attack_type"), [])
-        for sco_type, value in (("social-engineering", "social-engineering"),
-                                ("osint", "osint-based")):
+        for sco_type, value in _DERIVED_SCOS.items():
             if value in attack_tokens:
                 sco_id = mint(sco_type, scope.tag)
                 objects.append(_attach(
@@ -793,11 +784,12 @@ class _Inverter:
         if obj_type == "campaign":
             return True  # emission option marker; carries no selections
         payload = _taxidma_extension(obj)
-        if payload is None or obj_type not in _EXTENSION_PROPS:
+        _, _, allowed, declares = _KINDS.get(obj_type, _NO_KIND)
+        if payload is None or allowed is None:
             # Without our extension, or bearing it on a type we do not
             # map: residue.
             return False
-        if obj_type in NEW_SCO_TYPES:
+        if declares == "new-sco":
             return True  # derived from attack_type; nothing to recover
         # Every other type at least marks its scope (an
         # identity-management-category object carries nothing else).
@@ -1014,7 +1006,9 @@ def validate_bundle(bundle) -> list[BundleViolation]:
                         flag("timestamp-format", label, f"{prop} {value!r} "
                              "is not an RFC 3339 UTC stamp")
 
-        for prop in _REQUIRED_BY_TYPE.get(obj_type, ()):
+        required, allowed_top, allowed, declares = _KINDS.get(obj_type,
+                                                              _NO_KIND)
+        for prop in required:
             if prop not in obj:
                 flag("required-props", label,
                      f"{obj_type} requires {prop!r}")
@@ -1044,7 +1038,6 @@ def validate_bundle(bundle) -> list[BundleViolation]:
                 if ext_id == EXTENSION_DEFINITION_ID:
                     uses_extension = True
                     own = payload
-                    allowed = _EXTENSION_PROPS.get(obj_type)
                     if allowed is None:
                         flag("taxidma-properties", label,
                              f"{obj_type} takes no taxidma extension")
@@ -1054,19 +1047,15 @@ def validate_bundle(bundle) -> list[BundleViolation]:
                                 flag("taxidma-properties", label,
                                      f"unknown extension property {key!r}")
 
-        allowed_top = _ALLOWED_TOP.get(obj_type)
         if allowed_top is not None:
             for key in obj:
                 if key not in allowed_top:
                     flag("taxidma-properties", label,
                          f"unknown property {key!r} on {obj_type}")
-            if own is None or own.get("extension_type") != "new-sdo":
+        if declares is not None:
+            if own is None or own.get("extension_type") != declares:
                 flag("extension-not-declared", label,
-                     f"{obj_type} must declare the new-sdo extension")
-        elif obj_type in NEW_SCO_TYPES:
-            if own is None or own.get("extension_type") != "new-sco":
-                flag("extension-not-declared", label,
-                     f"{obj_type} must declare the new-sco extension")
+                     f"{obj_type} must declare the {declares} extension")
         elif not _NESTED_ONLY.isdisjoint(obj):
             for key in _NESTED_ONLY_PROPS:
                 if key in obj:

@@ -294,6 +294,25 @@ def test_first_of_repeated_overrides_wins_in_a_directly_built_catalog():
     assert built.lookup("BG.A.T").name == "Type"
 
 
+def test_profile_view_reads_a_category_only_a_repeated_taxonomy_declares():
+    # The first (taxonomy, category) pair declared wins, not the first
+    # taxonomy of a code: a category only the later taxonomy declares
+    # keeps that taxonomy's items, under the base and under a profile.
+    attacker = Category("A", "Attacker", (Item("T", "First"),))
+    again = Category("A", "Again", (Item("T", "Second"),))
+    knowledge = Category("K", "Knowledge", (Item("G", "Category"),))
+    added = Item("Q", "Added")
+    built = Catalog("x", (Taxonomy("BG", "Background", (attacker,)),
+                          Taxonomy("BG", "Repeat", (again, knowledge))),
+                    (Profile("IoT", "IoT", (Override("BG", "K", "Q", added),)),),
+                    "0")
+    assert built.effective_items(None, "BG", "K") == knowledge.items
+    assert built.effective_items(None, "BG", "A") == attacker.items
+    assert built.effective_items("IoT", "BG", "K") == (*knowledge.items, added)
+    assert built.effective_items("IoT", "BG", "A") == attacker.items
+    assert built.effective_items("SSI", "BG", "K") == ()
+
+
 def test_lenient_parse_renders_canonical_text():
     assert format_code(parse_code("iot:si.k.g.2", lenient=True)) == \
         "IoT:SI.K.G.2"
