@@ -714,6 +714,9 @@ def _scope_markers(obj: dict, payload: dict) -> tuple[str | None, int | None]:
 
 
 def _parse_stamp(value) -> datetime | None:
+    """The instant a STIX timestamp names, or None for anything else: the
+    text must match the RFC 3339 UTC pattern and name a real date and time.
+    A leap second (``:60``) is refused, since ``datetime`` cannot hold it."""
     if not isinstance(value, str) or not _TIMESTAMP_RE.match(value):
         return None
     text = value[:-1] + "+00:00"
@@ -964,7 +967,7 @@ def validate_bundle(bundle) -> list[BundleViolation]:
         return out
 
     seen_ids: dict[str, int] = {}  # id -> position of its first object
-    stamps: set[str] = set()  # timestamps already matched in this bundle
+    stamps: set[str] = set()  # timestamps already parsed in this call
     relationships: list[tuple[str, dict]] = []
     uses_extension = False
 
@@ -999,12 +1002,13 @@ def validate_bundle(bundle) -> list[BundleViolation]:
                     flag("required-common", label, f"missing {prop}")
             for prop in ("created", "modified"):
                 value = obj.get(prop)
-                if isinstance(value, str) and value not in stamps:
-                    if _TIMESTAMP_RE.match(value):
-                        stamps.add(value)
-                    else:
-                        flag("timestamp-format", label, f"{prop} {value!r} "
-                             "is not an RFC 3339 UTC stamp")
+                if prop not in obj or isinstance(value, str) and value in stamps:
+                    continue
+                if _parse_stamp(value) is None:  # what from_stix refuses
+                    flag("timestamp-format", label, f"{prop} {value!r} "
+                         "is not an RFC 3339 UTC stamp")
+                else:
+                    stamps.add(value)
 
         required, allowed_top, allowed, declares = _KINDS.get(obj_type,
                                                               _NO_KIND)

@@ -956,6 +956,22 @@ def test_bad_timestamps_are_flagged():
     assert "timestamp-format" in rules_of(validate_bundle(bundle))
 
 
+@pytest.mark.parametrize("prop, value", [
+    ("created", 5), ("modified", None), ("created", ["2019-05-24T00:00:00Z"]),
+    ("created", "2020-02-30T00:00:00.000Z"),
+    ("modified", "2016-12-31T23:59:60Z")])
+def test_stamps_from_stix_refuses_are_flagged(prop, value):
+    # A present created or modified that from_stix cannot read, because it
+    # is not a string or names no real instant (a leap second included).
+    _, bundle = fixture_bundle("canva-2019")
+    incident = next(o for o in bundle["objects"] if o["type"] == "incident")
+    incident[prop] = value
+    assert [(v.rule, v.object_id, v.message)
+            for v in validate_bundle(bundle)] == [
+        ("timestamp-format", incident["id"],
+         f"{prop} {value!r} is not an RFC 3339 UTC stamp")]
+
+
 def test_missing_extension_definition_object_is_flagged():
     bundle = clean_bundle()
     bundle["objects"] = [o for o in bundle["objects"]
