@@ -1,6 +1,7 @@
 """STIX interchange: emission shape, inversion, residue, bundle checks."""
 from __future__ import annotations
 
+import ast
 import copy
 import hashlib
 import json
@@ -8,6 +9,7 @@ import random
 import uuid
 from datetime import datetime, timedelta, timezone
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -987,6 +989,24 @@ def test_account_type_checked_against_the_extended_vocabulary():
     assert validate_bundle(bundle) == []
     account["account_type"] = "commodore-64"
     assert "account-type-vocab" in rules_of(validate_bundle(bundle))
+
+
+def test_readme_lists_each_bundle_rule_once():
+    # The rule codes of validate_bundle, as literals of its flag(...) and
+    # BundleViolation(...) calls, against the README's rule table.
+    source = ast.parse(Path(stix.__file__).read_text(encoding="utf-8"))
+    calls = [node for node in ast.walk(source) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) in ("flag", "BundleViolation")]
+    rules = [call.args[0] for call in calls]
+    # The one other argument is flag's own rule, passed through.
+    assert [getattr(rule, "id", None) for rule in rules
+            if not isinstance(rule, ast.Constant)] == ["rule"]
+    in_code = {rule.value for rule in rules if isinstance(rule, ast.Constant)}
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    table = readme.split("| Rule | What it flags |\n", 1)[1].split("\n\n")[0]
+    listed = [row.split("`")[1] for row in table.splitlines()[1:]]
+    assert len(listed) == len(set(listed)) == 13
+    assert set(listed) == in_code
 
 
 def test_violations_render_with_rule_and_object():
