@@ -193,7 +193,7 @@ class Catalog:
         items = list(found.items)
         overridden: set[str] = set()
         for ov in owner.overrides if owner is not None else ():
-            if (ov.taxonomy, ov.category) != (taxonomy, category) \
+            if ov.taxonomy != taxonomy or ov.category != category \
                     or ov.item in overridden:
                 continue
             overridden.add(ov.item)

@@ -176,11 +176,11 @@ for _slot in _SLOTS:
 
 
 def _schema(object_type: str, new_sdo: bool, *extra: str) -> frozenset[str]:
-    """What this extension lets a type carry where it puts its properties:
-    top-level, beside the common ones, on a new SDO type, and in the
-    payload otherwise.  That is the table's properties placed there, the
-    scope markers (``taxonomy``, and ``application_index`` when an
-    application scope can fill the type) and ``extra``."""
+    """The properties this extension allows a type where the type keeps
+    them: top-level beside the common ones on a new SDO type, in the payload
+    beside ``extension_type`` otherwise.  They are the table's properties
+    placed there, the scope markers (``taxonomy``, and ``application_index``
+    when an application scope can fill the type) and ``extra``."""
     slots = _SLOTS_OF.get(object_type, ())
     markers = ("taxonomy", "application_index") if any(
         _APP in slot.scopes for slot in slots) else ("taxonomy",)
@@ -1002,7 +1002,7 @@ def validate_bundle(bundle) -> list[BundleViolation]:
                     flag("required-common", label, f"missing {prop}")
             for prop in ("created", "modified"):
                 value = obj.get(prop)
-                if prop not in obj or isinstance(value, str) and value in stamps:
+                if prop not in obj or type(value) is str and value in stamps:
                     continue
                 if _parse_stamp(value) is None:  # what from_stix refuses
                     flag("timestamp-format", label, f"{prop} {value!r} "
