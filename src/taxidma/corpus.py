@@ -41,13 +41,13 @@ Statistics count *records* by default: a code (pruned to the requested
 grouping depth) scores one per record that selects it anywhere, which keeps
 heavily annotated records from drowning out the rest.  Shares are exact
 fractions of the record total and only the renderers round them (to six
-decimal places).
+decimal places), once per run of entries with equal counts.
 
-Storing and loading records import none of ``hashlib``, ``fractions`` and
-``csv``.  Each is imported on first use: ``hashlib`` (and with it OpenSSL)
-by a query over a :class:`Corpus` that reads a record file, for the
-summary keys, ``fractions`` by
-:func:`compute_stats` and ``csv`` by :func:`render_csv`.
+Storing and loading records import neither ``fractions`` nor ``csv``.  Each
+is imported on first use: ``fractions`` by :func:`compute_stats` and
+``csv`` by :func:`render_csv`.  A query over a :class:`Corpus` that reads a
+record file hashes it for its summary key with ``catalog._digest``, never
+with ``hashlib``.
 """
 from __future__ import annotations
 
@@ -65,7 +65,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .catalog import Catalog
+from .catalog import Catalog, _digest
 from .codes import format_code
 from .errors import (
     CodeSyntaxError,
@@ -186,11 +186,10 @@ class Corpus:
                         entry = None
             if entry is None:
                 if not reading:
-                    import hashlib
                     reading = True
                     began = _fs_clock(summary_path)
                 data, status = self._read_bytes(record_id, path)
-                key = hashlib.sha256(data).hexdigest()
+                key = _digest("sha256")(data).hexdigest()
                 if old is not None and old[0] == key:
                     texts = old[5]
                 else:
@@ -492,18 +491,23 @@ def co_occurrence(records: Iterable[AttackRecord],
 # -- renderers ----------------------------------------------------------------
 
 
-def _share_text(share: Fraction) -> str:
-    return f"{float(share):.6f}"
+def _rows(report: StatsReport) -> Iterator[tuple[str, str, int, str]]:
+    """``(code, name, count, share text)`` per entry.  A share's text is
+    made once per run of entries holding that share object:
+    :func:`compute_stats` sorts by count and gives equal counts one."""
+    share, text = object(), ""
+    for entry in report.entries:
+        if entry.share is not share:
+            share = entry.share
+            text = f"{float(share):.6f}"
+        yield entry.code, entry.name, entry.count, text
 
 
 def render_csv(report: StatsReport) -> str:
     import csv
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["code", "name", "count", "share"])
-    for entry in report.entries:
-        writer.writerow([entry.code, entry.name, entry.count,
-                         _share_text(entry.share)])
+    csv.writer(out, lineterminator="\n").writerows(
+        chain([("code", "name", "count", "share")], _rows(report)))
     return out.getvalue()
 
 
@@ -512,16 +516,15 @@ def render_json(report: StatsReport) -> str:
         "group_by": report.group_by,
         "total": report.total,
         "entries": [
-            {"code": entry.code, "name": entry.name, "count": entry.count,
-             "share": _share_text(entry.share)}
-            for entry in report.entries],
+            {"code": code, "name": name, "count": count, "share": share}
+            for code, name, count, share in _rows(report)],
     }
     return _indented_json(payload) + "\n"
 
 
 def render_table(report: StatsReport) -> str:
-    rows = [(entry.code, entry.name, str(entry.count),
-             _share_text(entry.share)) for entry in report.entries]
+    rows = [(code, name, str(count), share)
+            for code, name, count, share in _rows(report)]
     header = ("code", "name", "count", "share")
     line = "{:<%d}  {:<%d}  {:>%d}  {:>%d}" % tuple(
         max(map(len, column)) for column in zip(header, *rows))

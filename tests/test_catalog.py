@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import sys
 from importlib import resources
 
 import pytest
@@ -19,6 +20,7 @@ from taxidma.catalog import (
     Override,
     Profile,
     Taxonomy,
+    _digest,
     load_bundled_catalog,
     load_catalog,
     verify_catalog,
@@ -104,6 +106,29 @@ def test_checksum_is_the_sha256_of_the_loaded_bytes(catalog):
     assert Catalog("x", (tree,), (), "0").checksum == "0"
     with pytest.raises(AttributeError):
         loaded.checksum = "0"
+
+
+# Empty, one byte, both sides of the 56-byte padding edge, one 64-byte block,
+# and inputs of many blocks.
+DIGEST_INPUTS = [bytes(range(256)) * (size // 256) + bytes(range(size % 256))
+                 for size in (0, 1, 55, 56, 64, 4096, 1 << 20)]
+
+
+@pytest.mark.parametrize("name", ["sha1", "sha256"])
+def test_digest_equals_hashlib_built_in_or_not(name, monkeypatch):
+    def digests(new):
+        return [new(data, usedforsecurity=False).hexdigest()
+                for data in DIGEST_INPUTS]
+
+    expected = digests(getattr(hashlib, name))
+    assert _digest(name) is not getattr(hashlib, name)
+    assert digests(_digest(name)) == expected
+    # A build without the built-in modules falls back to hashlib.
+    for module in ("_sha1", "_sha2", "_sha256"):
+        monkeypatch.setitem(sys.modules, module, None)
+    fallback = _digest.__wrapped__(name)
+    assert fallback is getattr(hashlib, name)
+    assert digests(fallback) == expected
 
 
 def test_bundled_catalog_verifies_clean(catalog):

@@ -1,23 +1,27 @@
 """Standard-library modules the package imports only on the paths that use
-them: ``hashlib`` (and with it OpenSSL) for stats queries, deterministic
-STIX ids and catalog checksums, ``fractions`` and ``csv`` for stats, and
-``argparse`` for the CLI parser."""
+them: ``fractions`` and ``csv`` for stats and ``argparse`` for the CLI
+parser.  ``hashlib`` (and with it OpenSSL's ``_hashlib``) is imported on no
+path: stats queries, deterministic STIX ids and catalog checksums hash with
+the interpreter's built-in ``_sha1`` and ``_sha2``/``_sha256`` modules."""
 from __future__ import annotations
 
 import __future__
 import contextlib
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
 import types
+from importlib import resources
 from pathlib import Path
 
 from conftest import FIXTURE_IDS, FIXTURES
 
 import taxidma
 from taxidma import cli
+from taxidma.catalog import BUNDLED_CATALOG_RESOURCE
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 DEFERRED = ("_hashlib", "hashlib", "argparse", "fractions", "csv")
@@ -49,13 +53,16 @@ for record_id in ids:
     assert residue == [] and validate_record(back, catalog).ok
     corpus.store(back)
 stages["ingest"] = loaded()
+checksum = catalog.checksum
+stages["checksum"] = loaded()
 to_stix(record, catalog, EmissionOptions(deterministic_ids=True))
 stages["deterministic"] = loaded()
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = cli.run(["stats", root, "--format", "csv"])
 stages["stats"] = loaded()
-print(json.dumps({"stages": stages, "code": code, "stdout": out.getvalue()}))
+print(json.dumps({"stages": stages, "code": code, "stdout": out.getvalue(),
+                  "checksum": checksum}))
 """
 
 
@@ -70,9 +77,14 @@ def test_ingest_and_export_paths_load_no_deferred_module(tmp_path):
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout)
     stages = result["stages"]
-    assert stages["ingest"] == []
-    assert "hashlib" in stages["deterministic"]
-    assert stages["stats"] == list(DEFERRED)
+    assert stages["ingest"] == stages["checksum"] == []
+    assert stages["deterministic"] == []
+    # The stats query read and hashed every file: no summary existed yet.
+    assert stages["stats"] == ["argparse", "fractions", "csv"]
+    assert (root / ".taxidma-summary").is_file()
+    data = (resources.files("taxidma") / "data" /
+            BUNDLED_CATALOG_RESOURCE).read_bytes()
+    assert result["checksum"] == hashlib.sha256(data).hexdigest()
 
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
