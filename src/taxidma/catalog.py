@@ -489,7 +489,7 @@ def load_catalog(source: bytes | str) -> Catalog:
     try:
         data = source.encode("utf-8") if isinstance(source, str) else source
         doc = json.loads(data.decode("utf-8"))
-    except (UnicodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise MalformedDocumentError(f"not a JSON document: {exc}") from exc
     if not isinstance(doc, dict):
         raise MalformedDocumentError("top level: expected an object")

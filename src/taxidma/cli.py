@@ -335,7 +335,7 @@ def _cmd_from_stix(args, catalog: Catalog) -> int:
         bundle = json.loads(raw)
     except OSError as exc:
         raise _Unusable(f"{args.file}: {exc}") from exc
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise _Unusable(f"{args.file}: not JSON: {exc}") from exc
     try:
         record, residue = from_stix(bundle, catalog)

@@ -9,22 +9,21 @@ dead writer blocks nothing, and of overlapping stores of one id the last wins.
 
 Statistics over a corpus read a summary file, ``.taxidma-summary``, beside
 the records.  Its ``records`` member maps each record id, in record order,
-to one entry: the sha256 of the file's bytes, the file's ``st_ino``,
-``st_size``, ``st_mtime_ns`` and ``st_ctime_ns``, and the record's
-selection codes as canonical texts.  A query stats each file and takes its
+to one entry: the file's ``st_ino``, ``st_size``, ``st_mtime_ns`` and
+``st_ctime_ns``, and the record's selection codes as canonical texts.  The
+stat signature is the only key.  A query stats each file and takes its
 texts without opening the file only when the signature matches and the
 file's ctime is strictly older than the summary's own mtime: git's
 racy-clean rule, applied to ctime because ``os.utime`` can restore an mtime
-but not a ctime.  Any other file is read and hashed, and parsed only if its
-hash differs from its entry's.  A writer sets the summary's mtime to the
-file system's time from before its first read (the mtime of a scratch file
-created and removed beside the summary), so a change that lands after
-reading began leaves a ctime no older than the summary and is read again:
-an entry never goes stale.  Off POSIX, where ``st_ctime`` is not the inode
-change time, every file is read.  Like git, this trusts the file system's
-stat data; on NFS a client's attribute cache can lag behind another
-client's writes, and until it catches up a query there can miss such a
-write.
+but not a ctime.  Any other file is read and parsed.  A writer sets the
+summary's mtime to the file system's time from before its first read (the
+mtime of a scratch file created and removed beside the summary), so a
+change that lands after reading began leaves a ctime no older than the
+summary and is read again: an entry never goes stale.  Off POSIX, where
+``st_ctime`` is not the inode change time, every file is read.  Like git,
+this trusts the file system's stat data; on NFS a client's attribute cache
+can lag behind another client's writes, and until it catches up a query
+there can miss such a write.
 
 A warm query, one that trusts every file, makes one ``os.stat`` per file,
 parses nothing and writes nothing.  Each distinct code text is cut to its
@@ -45,9 +44,7 @@ decimal places), once per run of entries with equal counts.
 
 Storing and loading records import neither ``fractions`` nor ``csv``.  Each
 is imported on first use: ``fractions`` by :func:`compute_stats` and
-``csv`` by :func:`render_csv`.  A query over a :class:`Corpus` that reads a
-record file hashes it for its summary key with ``catalog._digest``, never
-with ``hashlib``.
+``csv`` by :func:`render_csv`.  No query hashes a record file.
 """
 from __future__ import annotations
 
@@ -65,7 +62,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .catalog import Catalog, _digest
+from .catalog import Catalog
 from .codes import format_code
 from .errors import (
     CodeSyntaxError,
@@ -91,7 +88,7 @@ if TYPE_CHECKING:  # imported by compute_stats, its only user
 SUMMARY_NAME = ".taxidma-summary"
 # Bump when parsing or canonical texts change, so old summaries are ignored;
 # tests/test_summary.py pins the summary each format writes.
-_SUMMARY_FORMAT = "taxidma-summary 2"
+_SUMMARY_FORMAT = "taxidma-summary 3"
 _SUMMARY_READ_FLAGS = (os.O_RDONLY | getattr(os, "O_NOFOLLOW", 0)
                        | getattr(os, "O_NONBLOCK", 0))
 _READ_CHUNK = 16 * 1024  # reads after the first, which fstat sizes
@@ -158,8 +155,8 @@ class Corpus:
 
     def _selection_texts(self) -> list[list[str]]:
         """Each record's selection codes as canonical texts, in record
-        order, served from the summary: by stat signature where the rule in
-        the module docstring trusts it, else by the hash of the file."""
+        order, served from the summary where the rule in the module
+        docstring trusts an entry's stat signature, else parsed afresh."""
         # The text path_for would give for any name: "x" is cut off again.
         prefix = str(self.root / "x")[:-1]
         summary_path = prefix + SUMMARY_NAME
@@ -182,19 +179,15 @@ class Corpus:
                     entry = None
                 else:
                     if status.st_ctime_ns >= stamp or \
-                            entry[1:5] != _signature(status):
+                            entry[:4] != _signature(status):
                         entry = None
             if entry is None:
                 if not reading:
                     reading = True
                     began = _fs_clock(summary_path)
                 data, status = self._read_bytes(record_id, path)
-                key = _digest("sha256")(data).hexdigest()
-                if old is not None and old[0] == key:
-                    texts = old[5]
-                else:
-                    texts = _record_texts(_parse_file(Path(path), data))
-                entry = [key, *_signature(status), texts]
+                entry = [*_signature(status),
+                         _record_texts(_parse_file(Path(path), data))]
                 # Record a new or changed entry, or a racy file that a
                 # summary stamped ``began`` would trust (a file changed at
                 # or after it, or under a clock stepped back, stays racy).
@@ -202,7 +195,7 @@ class Corpus:
                     _TRUST_STAT and began is not None
                     and status.st_ctime_ns < began)
             kept[record_id] = entry
-            out.append(entry[5])
+            out.append(entry[4])
         if began is not None and (rewrite or len(kept) != len(entries)):
             _write_summary(summary_path, kept, began)
         return out
@@ -260,11 +253,10 @@ def _read_summary(path: str) -> tuple[dict[str, list], int | None, bool]:
         return {}, None, False
     entries = {record_id: entry
                for record_id, entry in payload["records"].items()
-               if type(entry) is list and len(entry) == 6
-               and type(entry[0]) is str
-               and all(type(field) is int for field in entry[1:5])
-               and type(entry[5]) is list
-               and all(map(str.__instancecheck__, entry[5]))}
+               if type(entry) is list and len(entry) == 5
+               and all(type(field) is int for field in entry[:4])
+               and type(entry[4]) is list
+               and all(map(str.__instancecheck__, entry[4]))}
     return entries, status.st_mtime_ns, \
         len(entries) < len(payload["records"])
 

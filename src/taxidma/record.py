@@ -546,6 +546,6 @@ def read_record(text: str | bytes) -> AttackRecord:
     record document (content problems are left to validation)."""
     try:
         raw = json.loads(text)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise MalformedFileError(f"not a JSON document: {exc}") from exc
     return record_from_dict(raw)

@@ -576,8 +576,10 @@ def test_load_rejects_text_that_cannot_be_encoded():
 
 
 def test_load_rejects_nesting_too_deep_to_decode():
-    with pytest.raises(MalformedDocumentError):
-        load_catalog("[" * 100000)
+    # So is an integer past the interpreter's limit on digits.
+    for text in ("[" * 100000, "1" * 5000):
+        with pytest.raises(MalformedDocumentError):
+            load_catalog(text)
 
 
 @pytest.mark.parametrize("overrides", [5, None, {"taxonomy": "BG"}])

@@ -416,10 +416,25 @@ def test_from_stix_undecodable_file_is_not_json(tmp_path, capsys):
 
 
 def test_from_stix_reports_nesting_too_deep_as_not_json(tmp_path, capsys):
+    # So is an integer past the interpreter's limit on digits.
     path = tmp_path / "deep.json"
-    path.write_text("[" * 100000)
-    assert run(["from-stix", str(path)]) == 3
-    assert "not JSON" in capsys.readouterr().err
+    for text in ("[" * 100000, "1" * 5000):
+        path.write_text(text)
+        assert run(["from-stix", str(path)]) == 3
+        assert "not JSON" in capsys.readouterr().err
+
+
+def test_an_integer_past_the_digit_limit_is_a_malformed_file(tmp_path,
+                                                              capsys):
+    root = tmp_path / "corpus"
+    root.mkdir()
+    path = root / "big.taxidma.json"
+    path.write_text("1" * 5000)
+    for argv in (["validate", str(path)], ["stats", str(root)]):
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "big.taxidma.json: not a JSON document: " in err
 
 
 # -- stats ------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Standard-library modules the package imports only on the paths that use
 them: ``fractions`` and ``csv`` for stats and ``argparse`` for the CLI
 parser.  ``hashlib`` (and with it OpenSSL's ``_hashlib``) is imported on no
-path: stats queries, deterministic STIX ids and catalog checksums hash with
-the interpreter's built-in ``_sha1`` and ``_sha2``/``_sha256`` modules."""
+path: deterministic STIX ids and catalog checksums hash with the
+interpreter's built-in ``_sha1`` and ``_sha2``/``_sha256`` modules, and
+stats queries hash nothing."""
 from __future__ import annotations
 
 import __future__
@@ -79,7 +80,7 @@ def test_ingest_and_export_paths_load_no_deferred_module(tmp_path):
     stages = result["stages"]
     assert stages["ingest"] == stages["checksum"] == []
     assert stages["deterministic"] == []
-    # The stats query read and hashed every file: no summary existed yet.
+    # The stats query read and parsed every file: no summary existed yet.
     assert stages["stats"] == ["argparse", "fractions", "csv"]
     assert (root / ".taxidma-summary").is_file()
     data = (resources.files("taxidma") / "data" /

@@ -408,8 +408,10 @@ def test_read_record_rejects_garbage():
 
 
 def test_read_record_rejects_nesting_too_deep_to_decode():
-    with pytest.raises(MalformedFileError):
-        read_record("[" * 100000)
+    # So is an integer past the interpreter's limit on digits.
+    for text in ("[" * 100000, "1" * 5000):
+        with pytest.raises(MalformedFileError):
+            read_record(text)
 
 
 def test_read_record_rejects_unknown_taxonomy_token(catalog):

@@ -1,5 +1,5 @@
 """The stat data in the summary's entries: a warm query stats each record
-file instead of reading and hashing it, and trusts a signature only under
+file instead of reading and parsing it, and trusts a signature only under
 the racy-clean rule.  Whatever the history of the files and the summary,
 outputs stay those of the records loaded afresh."""
 from __future__ import annotations
@@ -30,7 +30,13 @@ from taxidma.corpus import (
 )
 from taxidma.record import BACKGROUND, RECORD_FILE_SUFFIX, add_selection, \
     new_record
-from test_summary import _summary, corpus_texts, outputs
+from test_summary import (
+    _fs_now,
+    _summary,
+    _wait_past_changes,
+    corpus_texts,
+    outputs,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -56,27 +62,6 @@ def reads(monkeypatch) -> list[str]:
 
     monkeypatch.setattr(Corpus, "_read_bytes", counted)
     return seen
-
-
-def _fs_now(root: Path) -> int:
-    """The file system's time: the mtime of a file created in ``root``."""
-    probe = root / ".clock-probe"
-    probe.touch(exist_ok=False)
-    try:
-        return os.stat(probe).st_mtime_ns
-    finally:
-        probe.unlink()
-
-
-def _wait_past_changes(root: Path) -> None:
-    """Return once the file system's clock is past every ctime in ``root``,
-    so that a summary stamped from then on trusts every file there."""
-    latest = max((os.stat(path).st_ctime_ns for path in root.iterdir()),
-                 default=0)
-    deadline = time.monotonic() + 10
-    while _fs_now(root) <= latest:
-        assert time.monotonic() < deadline, "the file system clock stands"
-        time.sleep(0.001)
 
 
 def _settle(corpus: Corpus, catalog) -> None:
@@ -116,10 +101,9 @@ def _check_index(corpus: Corpus) -> None:
         path = corpus.path_for(record_id)
         status = os.stat(path)
         entry = payload["records"][record_id]
-        assert entry == [hashlib.sha256(path.read_bytes()).hexdigest(),
-                         status.st_ino, status.st_size, status.st_mtime_ns,
+        assert entry == [status.st_ino, status.st_size, status.st_mtime_ns,
                          status.st_ctime_ns, texts]
-        assert all(type(field) is int for field in entry[1:5])
+        assert all(type(field) is int for field in entry[:4])
 
 
 _SWAPPABLE = re.compile(rb'"BG\.I\.A\.([123])"')
@@ -286,30 +270,31 @@ def test_a_file_rewritten_during_a_query_is_read_again(
 
 def _entry_fields_as_floats(entries: dict) -> None:
     entry = entries[next(iter(entries))]
-    entry[1:5] = map(float, entry[1:5])
+    entry[:4] = map(float, entry[:4])
 
 
 def _entry_field_as_text(entries: dict) -> None:
     entry = entries[next(iter(entries))]
-    entry[2] = str(entry[2])
+    entry[1] = str(entry[1])
 
 
 MALFORMED_INDEXES = {
     "not-a-dict": lambda payload: payload.update(
         records=list(payload["records"].values())),
     "short-entry": lambda payload: payload["records"].update(
-        {key: entry[:5] for key, entry in payload["records"].items()}),
+        {key: entry[:4] for key, entry in payload["records"].items()}),
     "entry-not-a-list": lambda payload: payload["records"].update(
         {next(iter(payload["records"])): {"ino": 1}}),
     "float-fields": lambda payload: _entry_fields_as_floats(
         payload["records"]),
     "text-field": lambda payload: _entry_field_as_text(payload["records"]),
+    # A format-2 entry: a sha256 key ahead of the stat data.
     "key-not-a-string": lambda payload: payload["records"][
-        next(iter(payload["records"]))].__setitem__(0, 5),
+        next(iter(payload["records"]))].insert(0, "0" * 64),
     "texts-not-a-list": lambda payload: payload["records"][
-        next(iter(payload["records"]))].__setitem__(5, {"BG.A.T": 1}),
+        next(iter(payload["records"]))].__setitem__(4, {"BG.A.T": 1}),
     "text-not-a-string": lambda payload: payload["records"][
-        next(iter(payload["records"]))][5].append(7),
+        next(iter(payload["records"]))][4].append(7),
     "id-with-no-file": lambda payload: payload["records"].update(
         ghost=next(iter(payload["records"].values()))),
     "malformed-entry-with-no-file": lambda payload: payload["records"].update(
@@ -339,9 +324,11 @@ def test_a_format_1_summary_is_read_anew_and_replaced(
         corpus, bundled_catalog, reads):
     expected = outputs(_fresh(corpus), bundled_catalog)
     # The summary as format 1 wrote it: texts keyed by the sha256 of each
-    # file, and a stat index whose signatures match the files, stamped
-    # after every change so that format 1 would trust each of them.
-    records, index = {}, {}
+    # file, and a stat index whose signatures match the files; and as
+    # format 2 wrote it: one entry per id, a sha256 key ahead of its stat
+    # data.  Each is stamped after every change, so that its own format
+    # would trust each file.
+    records, index, entries = {}, {}, {}
     for record_id, texts in zip(corpus.record_ids(),
                                 corpus_texts(_fresh(corpus))):
         path = corpus.path_for(record_id)
@@ -350,19 +337,22 @@ def test_a_format_1_summary_is_read_anew_and_replaced(
         records[key] = texts
         index[record_id] = [key, status.st_ino, status.st_size,
                             status.st_mtime_ns, status.st_ctime_ns]
-    _wait_past_changes(corpus.root)
-    _summary(corpus).write_text(json.dumps(
-        {"format": "taxidma-summary 1", "records": records, "stat": index}))
-    reads.clear()
-    report = compute_stats(corpus, bundled_catalog)
-    assert reads == corpus.record_ids()
-    assert report == expected["stats", "item", False, False]
-    assert json.loads(_summary(corpus).read_bytes())["format"] == \
-        "taxidma-summary 2"
-    _check_index(corpus)
-    reads.clear()
-    assert outputs(corpus, bundled_catalog) == expected
-    assert reads == []
+        entries[record_id] = [*index[record_id], texts]
+    for layout in ({"format": "taxidma-summary 1", "records": records,
+                    "stat": index},
+                   {"format": "taxidma-summary 2", "records": entries}):
+        _wait_past_changes(corpus.root)
+        _summary(corpus).write_text(json.dumps(layout))
+        reads.clear()
+        report = compute_stats(corpus, bundled_catalog)
+        assert reads == corpus.record_ids()
+        assert report == expected["stats", "item", False, False]
+        assert json.loads(_summary(corpus).read_bytes())["format"] == \
+            "taxidma-summary 3"
+        _check_index(corpus)
+        reads.clear()
+        assert outputs(corpus, bundled_catalog) == expected
+        assert reads == []
 
 
 def test_without_posix_ctimes_every_query_reads_every_file(

@@ -15,7 +15,7 @@ import pytest
 
 from conftest import FIXTURE_IDS, load_fixture_record, scope_groups
 from record_gen import record_batch
-from taxidma import stix
+from taxidma import corpus, stix
 from taxidma.catalog import (
     BUNDLED_CATALOG_RESOURCE,
     Catalog,
@@ -1007,6 +1007,11 @@ def test_readme_lists_each_bundle_rule_once():
     listed = [row.split("`")[1] for row in table.splitlines()[1:]]
     assert len(listed) == len(set(listed)) == 13
     assert set(listed) == in_code
+
+
+def test_readme_names_the_summary_format():
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    assert f'"format": "{corpus._SUMMARY_FORMAT}"' in readme
 
 
 def test_violations_render_with_rule_and_object():

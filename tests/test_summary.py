@@ -13,6 +13,7 @@ import pathlib
 import subprocess
 import sys
 import threading
+import time
 from collections.abc import Iterable
 from fractions import Fraction
 from pathlib import Path
@@ -263,9 +264,10 @@ def test_summary_keeps_one_entry_per_current_file(tmp_path, bundled_catalog):
     assert list(entries()) == corpus.record_ids()
     assert len(entries()) == 6
     for record_id, texts in zip(corpus.record_ids(), corpus_texts(corpus)):
-        key = hashlib.sha256(corpus.path_for(record_id).read_bytes())
-        assert entries()[record_id][0] == key.hexdigest()
-        assert entries()[record_id][5] == texts
+        status = os.stat(corpus.path_for(record_id))
+        assert entries()[record_id] == [status.st_ino, status.st_size,
+                                        status.st_mtime_ns,
+                                        status.st_ctime_ns, texts]
 
 
 def corpus_texts(records: Iterable[AttackRecord]) -> list[list[str]]:
@@ -286,7 +288,7 @@ def test_summary_entries_keep_order_and_duplicates(tmp_path, bundled_catalog):
                            count_selections=True)
     assert report.total == 4
     (entry,) = json.loads(_summary(corpus).read_bytes())["records"].values()
-    assert entry[5] == ["BG.K.R.4", "BG.I.A.1", "BG.K.R.4", "BG.I.A"]
+    assert entry[4] == ["BG.K.R.4", "BG.I.A.1", "BG.K.R.4", "BG.I.A"]
     assert compute_stats(corpus, bundled_catalog, "leaf",
                          count_selections=True) == report
 
@@ -414,6 +416,8 @@ PINNED_SUMMARIES = {
         "204d84a8b8cc149a92e80968fa6713dd65aaa0eb2efafc8f0113b2890ccf6fb8",
     "taxidma-summary 2":
         "d0d6ad5a7d717a9f17aeebe0408835bd0c84bf13454019c0ab94fb5c3c29b88f",
+    "taxidma-summary 3":
+        "d8192e1293b6aaa59d1503cb2755cd9175b8ab220ffee993fae9007a256b0fb0",
 }
 
 
@@ -429,10 +433,10 @@ def test_summary_format_pins_parsing_and_texts(tmp_path, bundled_catalog):
     payload = json.loads(_summary(corpus).read_bytes())
     entries = payload["records"]
     assert list(entries) == sorted([*FIXTURE_IDS, "edge"])
-    for record_id, (key, *fields, texts) in entries.items():
+    for record_id, (*fields, texts) in entries.items():
         assert len(fields) == 4
         assert all(type(field) is int for field in fields)
-        entries[record_id] = [key, texts]
+        entries[record_id] = [texts]
     digest = hashlib.sha256(json.dumps(payload).encode()).hexdigest()
     assert PINNED_SUMMARIES.get(corpus_module._SUMMARY_FORMAT) == digest
 
@@ -440,6 +444,7 @@ def test_summary_format_pins_parsing_and_texts(tmp_path, bundled_catalog):
 def test_warm_summary_queries_parse_no_code(corpus, bundled_catalog,
                                             monkeypatch):
     import taxidma
+    _wait_past_changes(corpus.root)  # so that the summary trusts each file
     compute_stats(corpus, bundled_catalog)  # writes the summary
     parse_code, parsed = taxidma.codes.parse_code, []
 
@@ -456,6 +461,35 @@ def test_warm_summary_queries_parse_no_code(corpus, bundled_catalog,
         report = compute_stats(corpus, bundled_catalog, group_by)
         assert all(entry.name for entry in report.entries)
     assert parsed == []
+
+
+def test_no_stats_query_hashes(corpus, records, bundled_catalog,
+                               monkeypatch):
+    import taxidma
+    digest, calls = taxidma.catalog._digest, []
+
+    def counting_digest(*args):
+        calls.append(args)
+        return digest(*args)
+
+    patched = [module for module in vars(taxidma).values()
+               if getattr(module, "_digest", None) is digest]
+    assert patched
+    for module in patched:
+        monkeypatch.setattr(module, "_digest", counting_digest)
+
+    def cli_stats():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(["stats", str(corpus.root)]) == 0
+
+    for query in (lambda: compute_stats(corpus, bundled_catalog),
+                  lambda: co_occurrence(corpus), cli_stats):
+        _delete(corpus)
+        query()  # cold: reads every file
+        query()  # warm
+        corpus.store(records[0])
+        query()  # reads the stored file
+    assert calls == []
 
 
 def test_summary_survives_across_processes(corpus):
@@ -476,6 +510,27 @@ def test_summary_survives_across_processes(corpus):
     assert (kept.st_ino, kept.st_mtime_ns) == \
         (written.st_ino, written.st_mtime_ns)
     assert json.loads(cold.stdout)["total"] == 50
+
+
+def _fs_now(root: Path) -> int:
+    """The file system's time: the mtime of a file created in ``root``."""
+    probe = root / ".clock-probe"
+    probe.touch(exist_ok=False)
+    try:
+        return os.stat(probe).st_mtime_ns
+    finally:
+        probe.unlink()
+
+
+def _wait_past_changes(root: Path) -> None:
+    """Return once the file system's clock is past every ctime in ``root``,
+    so that a summary stamped from then on trusts every file there."""
+    latest = max((os.stat(path).st_ctime_ns for path in root.iterdir()),
+                 default=0)
+    deadline = time.monotonic() + 10
+    while _fs_now(root) <= latest:
+        assert time.monotonic() < deadline, "the file system clock stands"
+        time.sleep(0.001)
 
 
 def _listed_then(corpus: Corpus, monkeypatch, change) -> None:
